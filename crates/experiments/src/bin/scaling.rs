@@ -14,12 +14,14 @@
 //!
 //! A second phase measures the **scale wall**: all-sources metric-closure
 //! construction on Barabási–Albert scale-free networks at 100 / 1 000 /
-//! 10 000 nodes, comparing the legacy lazy adjacency-list path
-//! (`routed_from` per source — cost model resolved per heap relaxation)
-//! against the batched CSR path (`par_warm` — flat snapshot, slot-aligned
+//! 10 000 nodes, comparing the adjacency-list reference kernel
+//! (`algo::dijkstra` per source with the §2.2 cost resolved per heap
+//! relaxation — the closure's former lazy path, now a test oracle) against
+//! the batched CSR path (`par_warm` — flat snapshot, slot-aligned
 //! precomputed cost vector, recycled scratch), plus a banked routed solve
-//! over the warm closure and a peak-RSS proxy. The two paths are verified
-//! bit-identical on the spot before timings are reported.
+//! over the warm closure and a peak-RSS proxy. The CSR trees are verified
+//! bit-identical to the reference on the spot before timings are
+//! reported.
 //!
 //! ```text
 //! cargo run --release -p elpc-experiments --bin scaling
@@ -35,6 +37,7 @@
 
 use elpc_experiments::{results_dir, save_csv, save_json};
 use elpc_mapping::{solver, CostModel, Instance, MetricClosure, NodeId, SolveContext};
+use elpc_netgraph::algo::dijkstra;
 use elpc_netsim::{Link, Network, Node};
 use elpc_pipeline::Pipeline;
 use elpc_workloads::{ClosureBank, InstanceSpec};
@@ -75,7 +78,7 @@ struct ClosureScalingRow {
     links: usize,
     /// Sources warmed (= nodes: the all-pairs closure).
     sources: usize,
-    /// All-sources closure via the lazy adjacency-list path.
+    /// All-sources trees via the adjacency-list reference `algo::dijkstra`.
     legacy_cold_ms: f64,
     /// All-sources closure via the batched CSR path (1 thread).
     csr_cold_ms: f64,
@@ -140,9 +143,10 @@ fn rng_range(rng: &mut ChaCha8Rng, lo: f64, hi: f64) -> f64 {
     rng.gen_range(lo..hi)
 }
 
-/// Times all-sources closure construction (legacy lazy vs batched CSR) on
-/// one BA network, verifies the two caches agree bit-for-bit on sampled
-/// sources, and runs a banked routed solve over the warm closure.
+/// Times all-sources tree construction (adjacency-list reference vs
+/// batched CSR) on one BA network, verifies the CSR closure matches the
+/// reference bit-for-bit on sampled sources, and runs a banked routed
+/// solve over the warm closure.
 fn closure_scaling_row(n: usize) -> ClosureScalingRow {
     let cost = CostModel::default();
     let net = ba_network(n, 3, 0xC5A0 + n as u64);
@@ -154,20 +158,25 @@ fn closure_scaling_row(n: usize) -> ClosureScalingRow {
     let reps = if n <= 1000 { 3 } else { 1 };
     let mut legacy_runs = Vec::with_capacity(reps);
     let mut csr_runs = Vec::with_capacity(reps);
-    let mut legacy = MetricClosure::new(&net, cost);
+    let mut legacy = Vec::new();
     let mut warm = MetricClosure::new(&net, cost);
     for r in 0..reps {
         if r > 0 {
-            // fresh closures so every rep is a cold build
-            legacy = MetricClosure::new(&net, cost);
+            // fresh state so every rep is a cold build
+            legacy.clear();
             warm = MetricClosure::new(&net, cost);
         }
-        // legacy: one lazy routed_from per source — adjacency-list Dijkstra
-        // with the cost model resolved per heap relaxation
+        // legacy: the adjacency-list reference Dijkstra per source, with
+        // the cost model resolved per heap relaxation
         legacy_runs.push(time_ms(|| {
-            for &s in &sources {
-                legacy.routed_from(s, CLOSURE_PAYLOAD);
-            }
+            legacy = sources
+                .iter()
+                .map(|&s| {
+                    dijkstra(net.graph(), s, |eid, _| {
+                        cost.edge_transfer_ms(&net, eid, CLOSURE_PAYLOAD)
+                    })
+                })
+                .collect();
         }));
         // CSR: one batched warm — snapshot + slot-aligned cost vector +
         // recycled scratch, single thread so the comparison is
@@ -184,7 +193,7 @@ fn closure_scaling_row(n: usize) -> ClosureScalingRow {
     // spot-check bit-identity on sampled sources (the proptest suite does
     // this exhaustively on small graphs; here we guard the measured pair)
     for &s in sources.iter().step_by((n / 8).max(1)) {
-        let a = legacy.routed_from(s, CLOSURE_PAYLOAD);
+        let a = &legacy[s.index()];
         let b = warm.routed_from(s, CLOSURE_PAYLOAD);
         for v in 0..n {
             assert_eq!(

@@ -25,23 +25,26 @@
 //! the number of [`MetricClosure::routed_from`] queries, even under
 //! contention.
 //!
-//! ## Parallel warm-up
+//! ## One tree builder
 //!
-//! The per-source trees are embarrassingly parallel — no tree depends on
-//! any other — so [`MetricClosure::par_warm`] builds a whole
-//! `sources × payloads` block on scoped worker threads (the same
-//! work-pulling pattern as `elpc_workloads::sweep::run_parallel`). The
-//! warm path runs on a flat [`Csr`] snapshot of the adjacency (built once
-//! per closure) with the §2.2 edge cost resolved once per payload batch
-//! and per-worker [`SsspScratch`] buffers recycled across sources; the
-//! lazy [`MetricClosure::routed_from`] path keeps the original
-//! adjacency-list Dijkstra, and the two produce bit-identical trees. The
-//! routed DPs call [`SolveContext::warm_routed_dp`] on entry, which turns a
-//! serial cold solve into a parallel-warm one when the context was built
-//! with [`SolveContext::with_threads`]; with `threads == 1` the solvers
-//! keep their lazy, minimal-work behavior. Warm-up changes *when* trees are
-//! built, never *what* they contain, so results are bit-for-bit identical
-//! at any thread count.
+//! Every tree the closure holds comes out of one private builder, which
+//! runs the CSR Dijkstra ([`SsspScratch::shortest_paths`]) on a flat
+//! [`Csr`] snapshot of the adjacency (built once per closure) under a
+//! slot-aligned vector of §2.2 edge costs for the key's payload. A lazy
+//! [`MetricClosure::routed_from`] miss builds its one tree with a fresh
+//! cost vector and scratch buffer. [`MetricClosure::par_warm`] builds a
+//! whole `sources × payloads` block on scoped worker threads (the same
+//! work-pulling pattern as `elpc_workloads::sweep::run_parallel`), with
+//! one cost vector per payload and per-worker scratch recycled across
+//! sources. The adjacency-list kernels in `elpc_netgraph::algo` are the
+//! reference the tests compare the builder against, bit for bit.
+//!
+//! The routed DPs call [`SolveContext::warm_routed_dp`] on entry, which
+//! turns a serial cold solve into a parallel-warm one when the context was
+//! built with [`SolveContext::with_threads`]; with `threads == 1` the
+//! solvers keep their lazy, minimal-work behavior and build only the trees
+//! they touch. Warm-up changes *when* trees are built, never *what* they
+//! contain, so results are bit-for-bit identical at any thread count.
 //!
 //! ## Cross-instance reuse
 //!
@@ -59,10 +62,11 @@
 //! can be reconstructed without a new traversal.
 
 use crate::{CostModel, Instance, MappingError, Result};
-use elpc_netgraph::algo::{dijkstra, extract_path, ShortestPaths};
+use elpc_netgraph::algo::{extract_path, ShortestPaths};
 use elpc_netgraph::csr::{Csr, SsspScratch};
 use elpc_netgraph::NodeId;
 use parking_lot::RwLock;
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -236,9 +240,8 @@ pub struct MetricClosure<'a> {
     hits: AtomicU64,
     misses: AtomicU64,
     /// Flat CSR snapshot of the network's adjacency, built once on the
-    /// first batched warm-up and shared by every batch thereafter (the
-    /// network behind a closure is immutable, so the snapshot never goes
-    /// stale). Lazy queries never touch it.
+    /// first tree build and shared by every build thereafter (the network
+    /// behind a closure is immutable, so the snapshot never goes stale).
     csr: OnceLock<Csr>,
 }
 
@@ -275,22 +278,36 @@ impl<'a> MetricClosure<'a> {
     /// hit or one miss per call (a miss when this call ran Dijkstra, even
     /// if a racing thread's identical tree won the insert).
     pub fn routed_from(&self, src: NodeId, bytes: f64) -> Arc<ShortestPaths> {
-        let key = TreeKey::new(src, bytes);
+        self.tree(TreeKey::new(src, bytes), None, &mut SsspScratch::new())
+    }
+
+    /// The one tree builder: returns the cached tree for `key` (a hit), or
+    /// runs the CSR kernel outside any lock and inserts the result (a miss;
+    /// when a racing builder inserted first, its identical tree wins).
+    /// `costs` is the payload's slot-aligned cost vector when the caller
+    /// already holds one; `None` resolves it here.
+    fn tree(
+        &self,
+        key: TreeKey,
+        costs: Option<&[f64]>,
+        scratch: &mut SsspScratch,
+    ) -> Arc<ShortestPaths> {
         let shard = &self.shards[shard_of(&key)];
         if let Some(tree) = shard.read().get(&key) {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return Arc::clone(tree);
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
-        let tree = self.build_tree(src, bytes);
+        let costs: Cow<[f64]> =
+            costs.map_or_else(|| self.cost_vector(key.payload()).into(), Cow::from);
+        let tree = Arc::new(scratch.shortest_paths(self.csr(), key.source_node(), &costs));
         Arc::clone(shard.write().entry(key).or_insert(tree))
     }
 
-    /// Runs the Dijkstra for one key, outside any lock.
-    fn build_tree(&self, src: NodeId, bytes: f64) -> Arc<ShortestPaths> {
-        Arc::new(dijkstra(self.net.graph(), src, |eid, _| {
-            self.cost.edge_transfer_ms(self.net, eid, bytes)
-        }))
+    /// The §2.2 edge cost of every CSR slot for a payload of `bytes`.
+    fn cost_vector(&self, bytes: f64) -> Vec<f64> {
+        self.csr()
+            .cost_vector(|eid| self.cost.edge_transfer_ms(self.net, eid, bytes))
     }
 
     /// True when the `(src, bytes)` tree is already materialized. Does not
@@ -302,44 +319,27 @@ impl<'a> MetricClosure<'a> {
 
     /// The flat CSR snapshot of the network's adjacency, built on first
     /// use. Slot order matches [`elpc_netgraph::Graph::neighbors`] order,
-    /// which is what makes the CSR kernels bit-identical to the lazy path.
+    /// which is what makes the CSR kernel bit-identical to
+    /// [`elpc_netgraph::algo::dijkstra`].
     pub fn csr(&self) -> &Csr {
         self.csr.get_or_init(|| Csr::from_graph(self.net.graph()))
-    }
-
-    /// Builds one missing tree on the CSR fast path, with the same
-    /// hit/miss accounting as [`MetricClosure::routed_from`]: a hit when a
-    /// racing builder already materialized the key, one miss per actual
-    /// kernel run, first insert wins.
-    fn warm_one(&self, csr: &Csr, key: TreeKey, costs: &[f64], scratch: &mut SsspScratch) {
-        let shard = &self.shards[shard_of(&key)];
-        if shard.read().contains_key(&key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return;
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let tree = Arc::new(scratch.shortest_paths(csr, key.source_node(), costs));
-        shard.write().entry(key).or_insert(tree);
     }
 
     /// Builds every missing `(source, payload)` tree of the cross product
     /// on `threads` worker threads (`0` = all CPUs, `1` = inline serial).
     /// Returns the number of trees this call set out to build.
     ///
-    /// This is the batched CSR fast path: the adjacency is snapshotted once
-    /// per closure ([`MetricClosure::csr`]), the §2.2 edge cost is resolved
-    /// once per payload into a slot-aligned vector (instead of once per
-    /// heap relaxation, the lazy path's behavior), and every worker runs
-    /// the cache-friendly CSR kernel on a thread-local [`SsspScratch`]
-    /// whose buffers are recycled across its sources.
+    /// Misses are grouped per payload, so each payload's §2.2 cost vector
+    /// is resolved once and shared by every worker, and each worker keeps
+    /// one [`SsspScratch`] whose buffers are recycled across its sources.
     ///
-    /// Each tree is an independent Dijkstra run and the CSR kernel is
-    /// bit-identical to the lazy [`MetricClosure::routed_from`] build, so
-    /// neither the build order, the thread count, nor which path
-    /// materialized an entry can affect its contents: `par_warm(s, p, 1)`,
-    /// `par_warm(s, p, 0)`, and lazy queries leave bit-for-bit identical
-    /// caches (property-tested in `tests/csr_equivalence.rs`). Every build
-    /// counts as one miss (and a racing duplicate query as a hit), keeping
+    /// Each tree is an independent Dijkstra run through the same builder
+    /// a lazy [`MetricClosure::routed_from`] miss uses, so neither the
+    /// build order, the thread count, nor which call materialized an entry
+    /// can affect its contents: `par_warm(s, p, 1)`, `par_warm(s, p, 0)`,
+    /// and lazy queries leave bit-for-bit identical caches
+    /// (property-tested in `tests/csr_equivalence.rs`). Every build counts
+    /// as one miss (and a racing duplicate query as a hit), keeping
     /// `hits + misses == queries` exact.
     ///
     /// # Examples
@@ -382,14 +382,9 @@ impl<'a> MetricClosure<'a> {
         if batches.is_empty() {
             return 0;
         }
-        let csr = self.csr();
-        // resolve the cost model once per (payload, edge) — the lazy path
-        // pays this per heap relaxation instead
         let costs: Vec<Vec<f64>> = batches
             .iter()
-            .map(|(bytes, _)| {
-                csr.cost_vector(|eid| self.cost.edge_transfer_ms(self.net, eid, *bytes))
-            })
+            .map(|(bytes, _)| self.cost_vector(*bytes))
             .collect();
         let work: Vec<(usize, TreeKey)> = batches
             .iter()
@@ -400,7 +395,7 @@ impl<'a> MetricClosure<'a> {
         if threads <= 1 {
             let mut scratch = SsspScratch::new();
             for &(bi, key) in &work {
-                self.warm_one(csr, key, &costs[bi], &mut scratch);
+                self.tree(key, Some(&costs[bi]), &mut scratch);
             }
         } else {
             let next = AtomicUsize::new(0);
@@ -414,7 +409,7 @@ impl<'a> MetricClosure<'a> {
                                 break;
                             }
                             let (bi, key) = work[i];
-                            self.warm_one(csr, key, &costs[bi], &mut scratch);
+                            self.tree(key, Some(&costs[bi]), &mut scratch);
                         }
                     });
                 }
@@ -689,6 +684,7 @@ impl<'a> SolveContext<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use elpc_netgraph::algo::dijkstra;
     use elpc_netsim::Network;
     use elpc_pipeline::Pipeline;
 

@@ -411,28 +411,21 @@ pub fn repair_closure(
     delta: &NetworkDelta,
     threads: usize,
 ) -> RepairReport {
-    let edge_count = target.network().graph().edge_count();
-    // price each distinct payload once; BTreeMap keeps rebuild order
+    let (kept, stale) = partition_stale(entries, target.network(), target.cost(), delta);
+    // group the stale sources per payload; BTreeMap keeps rebuild order
     // deterministic regardless of entry order
-    let mut priced_of: BTreeMap<u64, Vec<PricedChange>> = BTreeMap::new();
-    let mut kept: Vec<CachedTree> = Vec::with_capacity(entries.len());
-    let mut stale: BTreeMap<u64, Vec<NodeId>> = BTreeMap::new();
-    for e in entries {
-        let bits = e.key.payload().to_bits();
-        let priced = priced_of
-            .entry(bits)
-            .or_insert_with(|| delta.priced_links(target.cost(), e.key.payload()));
-        if tree_is_stale(&e.tree, edge_count, priced) {
-            stale.entry(bits).or_default().push(e.key.source_node());
-        } else {
-            kept.push(e.clone());
-        }
+    let mut stale_of: BTreeMap<u64, Vec<NodeId>> = BTreeMap::new();
+    for key in stale {
+        stale_of
+            .entry(key.payload_bits)
+            .or_default()
+            .push(key.source_node());
     }
     let kept_count = target.seed(&kept);
-    let mut rebuilt = 0;
-    for (bits, sources) in &stale {
-        rebuilt += target.par_warm(sources, &[f64::from_bits(*bits)], threads);
-    }
+    let rebuilt = stale_of
+        .iter()
+        .map(|(bits, sources)| target.par_warm(sources, &[f64::from_bits(*bits)], threads))
+        .sum();
     RepairReport {
         total: entries.len(),
         kept: kept_count,

@@ -1,9 +1,10 @@
 //! Dijkstra single-source shortest paths with a caller-supplied edge cost.
 //!
-//! Used by the Greedy baseline (destination-aware relay routing) and by the
-//! transport-time heuristics: the cost closure lets the same routine compute
-//! hop counts, pure transport time `m/b + d`, or any other additive metric
-//! without duplicating the traversal.
+//! The reference kernel: production shortest-path trees come from the CSR
+//! kernel ([`crate::csr::SsspScratch::shortest_paths`]), and the tests pin
+//! it to this adjacency-list version bit for bit. The cost closure lets the
+//! same routine compute hop counts, pure transport time `m/b + d`, or any
+//! other additive metric without duplicating the traversal.
 
 use crate::{Edge, EdgeId, Graph, NodeId};
 use std::cmp::Ordering;

@@ -5,8 +5,8 @@
 //! polynomial (this module, a Dijkstra variant maximizing the minimum edge
 //! width); the paper's *exact-n-hop* variant is NP-complete and handled by
 //! the exhaustive enumerator plus the ELPC-rate heuristic in `elpc-mapping`.
-//! The unconstrained solution is still useful: it is an upper bound on any
-//! hop-constrained widest path, which the exact solver uses for pruning.
+//! This adjacency-list version is the reference the CSR kernel
+//! ([`crate::csr::SsspScratch::widest_paths`]) is pinned to bit for bit.
 
 use crate::{Edge, EdgeId, Graph, NodeId};
 use std::cmp::Ordering;

@@ -29,7 +29,7 @@
 //!   non-negative non-NaN values Dijkstra produces is order- and
 //!   equality-isomorphic to `f64` comparison (the private `MinEntry`/`MaxEntry` key types) — every
 //!   comparison returns the same `Ordering`, so the pop sequence (ties
-//!   included) matches the legacy kernel's;
+//!   included) matches the reference kernel's;
 //! * the kernels stop early once every node has settled, which skips only
 //!   provably stale heap entries and provably failing relaxations.
 //!

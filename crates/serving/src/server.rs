@@ -42,7 +42,7 @@ use crate::protocol::{
 use crossbeam::channel;
 use elpc_mapping::{solver, Instance};
 use elpc_workloads::bank::{bank_key, ClosureBank};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::panic::AssertUnwindSafe;
 use std::path::{Path, PathBuf};
@@ -148,11 +148,6 @@ struct Shared {
     shutdown_requested: AtomicBool,
     conns: parking_lot::Mutex<Vec<JoinHandle<()>>>,
     coalesce: StdMutex<HashMap<u64, Arc<InFlight>>>,
-    /// Keys whose leader's solve never materialized a closure (a strict
-    /// solver that works link-level, not on the metric closure). Such keys
-    /// can never turn into bank hits, so coalescing them again would just
-    /// serialize independent solves.
-    no_closure: parking_lot::Mutex<HashSet<u64>>,
     read_timeout: Duration,
     workers: u64,
     queue_capacity: u64,
@@ -261,7 +256,6 @@ impl Server {
             shutdown_requested: AtomicBool::new(false),
             conns: parking_lot::Mutex::new(Vec::new()),
             coalesce: StdMutex::new(HashMap::new()),
-            no_closure: parking_lot::Mutex::new(HashSet::new()),
             read_timeout: config.read_timeout,
             workers: workers as u64,
             queue_capacity: config.queue_capacity as u64,
@@ -698,12 +692,9 @@ fn run_solve(
         // Deposit BEFORE the guard drops: a racer that sees the in-flight
         // entry gone must also see the deposited closure, or it would
         // elect itself leader and build the same closure a second time.
+        // A solver that never touched the metric closure deposits nothing,
+        // so the next request for the key is elected leader again.
         shared.bank.deposit(&ctx);
-        if !shared.bank.contains_key(key) {
-            // The solver never touched the metric closure; remember that
-            // so later requests for this key skip the (useless) election.
-            shared.no_closure.lock().insert(key);
-        }
     }
     drop(leader);
     let solution = result.map_err(|e| ServeError::Solve(SolveFailure::from_mapping(&e)))?;
@@ -747,7 +738,7 @@ impl Drop for LeaderGuard<'_> {
 /// request was elected leader and must build + deposit the closure.
 fn coalesce<'a>(shared: &'a Shared, key: u64) -> (bool, Option<LeaderGuard<'a>>) {
     let mut waited = false;
-    if shared.bank.contains_key(key) || shared.no_closure.lock().contains(&key) {
+    if shared.bank.contains_key(key) {
         return (waited, None);
     }
     loop {
@@ -758,7 +749,7 @@ fn coalesce<'a>(shared: &'a Shared, key: u64) -> (bool, Option<LeaderGuard<'a>>)
         }
         let role = {
             let mut map = shared.coalesce.lock().unwrap_or_else(|e| e.into_inner());
-            if shared.bank.contains_key(key) || shared.no_closure.lock().contains(&key) {
+            if shared.bank.contains_key(key) {
                 Role::Banked
             } else if let Some(fl) = map.get(&key) {
                 Role::Wait(Arc::clone(fl))
@@ -818,7 +809,6 @@ mod tests {
             shutdown_requested: AtomicBool::new(false),
             conns: parking_lot::Mutex::new(Vec::new()),
             coalesce: StdMutex::new(HashMap::new()),
-            no_closure: parking_lot::Mutex::new(HashSet::new()),
             read_timeout: Duration::from_millis(1),
             workers: 1,
             queue_capacity: 3,
@@ -842,7 +832,6 @@ mod tests {
             shutdown_requested: AtomicBool::new(false),
             conns: parking_lot::Mutex::new(Vec::new()),
             coalesce: StdMutex::new(HashMap::new()),
-            no_closure: parking_lot::Mutex::new(HashSet::new()),
             read_timeout: Duration::from_millis(1),
             workers: 1,
             queue_capacity: 0,

@@ -87,6 +87,19 @@ struct BankStore {
     order: std::collections::VecDeque<u64>,
 }
 
+impl BankStore {
+    /// Queues `key` as the youngest resident, first evicting the oldest
+    /// keys until fewer than `capacity` remain.
+    fn admit(&mut self, key: u64, capacity: usize) {
+        while self.order.len() >= capacity {
+            if let Some(evicted) = self.order.pop_front() {
+                self.entries.remove(&evicted);
+            }
+        }
+        self.order.push_back(key);
+    }
+}
+
 /// A topology-keyed cross-instance cache of materialized metric-closure
 /// entries. Checkout seeds a fresh context from the bank; deposit saves a
 /// solved context's trees back for the next instance with the same key.
@@ -239,12 +252,7 @@ impl ClosureBank {
                 store.entries.insert(key, Arc::new(exported));
             }
             None => {
-                while store.order.len() >= self.capacity {
-                    if let Some(evicted) = store.order.pop_front() {
-                        store.entries.remove(&evicted);
-                    }
-                }
-                store.order.push_back(key);
+                store.admit(key, self.capacity);
                 store.entries.insert(key, Arc::new(exported));
             }
         }
@@ -326,14 +334,7 @@ impl ClosureBank {
                     Some(i) => store.order[i] = new_key,
                     // the old entry was evicted while we repaired: the
                     // repaired closure is still valid, bank it as new
-                    None => {
-                        while store.order.len() >= self.capacity {
-                            if let Some(evicted) = store.order.pop_front() {
-                                store.entries.remove(&evicted);
-                            }
-                        }
-                        store.order.push_back(new_key);
-                    }
+                    None => store.admit(new_key, self.capacity),
                 }
                 store.entries.insert(new_key, repaired);
             }

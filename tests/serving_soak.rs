@@ -18,6 +18,7 @@ use elpc_serving::{
 use elpc_workloads::bank::bank_key;
 use elpc_workloads::{InstanceSpec, ProblemInstance};
 use std::path::PathBuf;
+use std::time::{Duration, Instant};
 
 const CLIENTS: usize = 8;
 const BASE_PER_CLIENT: usize = 6;
@@ -265,6 +266,20 @@ fn slow_instance() -> ProblemInstance {
     InstanceSpec::sized(6, 300, 900).generate(77).expect("gen")
 }
 
+/// Blocks until the bank has counted the first request's miss: it has
+/// checked out its context and is solving. Bounded, so a wedged daemon
+/// fails the test instead of hanging it.
+fn wait_until_first_request_solves(server: &Server) {
+    let deadline = Instant::now() + Duration::from_secs(60);
+    while server.bank().stats().misses != 1 {
+        assert!(
+            Instant::now() < deadline,
+            "the first request never checked out its context"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
 fn expect_timeout(tag: &str, r: Result<elpc_serving::SolveReply, ClientError>) {
     match r {
         Err(ClientError::Server(ServeError::Timeout { .. })) => {}
@@ -299,9 +314,9 @@ fn expired_in_queue_requests_never_burn_a_solve() {
             let mut client = Client::connect(socket).expect("connect");
             client.solve(solve_req(slow)).expect("blocker solve")
         });
-        // let the worker dequeue the blocker, then enqueue requests whose
-        // 1 ms deadlines expire long before the blocker's build finishes
-        std::thread::sleep(std::time::Duration::from_millis(10));
+        // wait until the worker is solving the blocker, then enqueue
+        // requests whose 1 ms deadlines expire long before its build ends
+        wait_until_first_request_solves(&server);
         let followers: Vec<_> = (0..FOLLOWERS)
             .map(|_| {
                 s.spawn(move || {
@@ -358,9 +373,10 @@ fn expired_coalesce_followers_never_burn_a_solve() {
             client.solve(solve_req(slow)).expect("leader solve")
         });
         // same bank key, a deadline far shorter than the leader's build:
-        // the free second worker dequeues this immediately (so the
-        // dequeue-time expiry check passes) and it blocks in coalesce()
-        std::thread::sleep(std::time::Duration::from_millis(10));
+        // once the leader is solving, the free second worker dequeues this
+        // immediately (so the dequeue-time expiry check passes) and it
+        // blocks in coalesce()
+        wait_until_first_request_solves(&server);
         let follower = s.spawn(move || {
             let mut client = Client::connect(socket).expect("connect");
             let mut req = solve_req(slow);
@@ -412,4 +428,38 @@ fn sequential_soak_has_exact_stats_and_no_coalescing() {
     assert_eq!(stats.bank_hits, rounds as u64 - 1);
     assert_eq!(stats.coalesced, 0);
     assert_eq!(stats.completed, rounds as u64);
+}
+
+/// A leader whose solver never touches the metric closure deposits
+/// nothing, so the next request for the key is elected leader again and
+/// banks the closure for the ones after it.
+#[test]
+fn closure_free_leader_leaves_the_key_open_for_a_deposit() {
+    let base = base_instance();
+    let socket = socket_path("closure-free");
+    let server = Server::bind(
+        &socket,
+        ServerConfig {
+            workers: 1,
+            ..ServerConfig::default()
+        },
+    )
+    .expect("bind");
+
+    let mut client = Client::connect(&socket).expect("connect");
+    let mut greedy = solve_req(&base);
+    greedy.solver = "greedy_delay".into();
+    let mut banked = vec![client.solve(greedy).expect("greedy solve").banked];
+    for _ in 0..3 {
+        banked.push(client.solve(solve_req(&base)).expect("solve").banked);
+    }
+    assert_eq!(banked, [false, false, true, true]);
+
+    let stats = server.shutdown();
+    assert_eq!(stats.bank_hits, 2);
+    assert_eq!(
+        stats.bank_misses, 2,
+        "greedy's checkout + the first deposit"
+    );
+    assert_eq!(stats.bank_deposits, 1);
 }
