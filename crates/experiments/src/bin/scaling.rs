@@ -185,8 +185,8 @@ fn closure_scaling_row(n: usize) -> ClosureScalingRow {
             warm.par_warm(&sources, &[CLOSURE_PAYLOAD], 1);
         }));
     }
-    legacy_runs.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
-    csr_runs.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
+    legacy_runs.sort_by(f64::total_cmp);
+    csr_runs.sort_by(f64::total_cmp);
     let legacy_cold_ms = legacy_runs[reps / 2];
     let csr_cold_ms = csr_runs[reps / 2];
 

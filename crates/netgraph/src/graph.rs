@@ -36,7 +36,7 @@ pub struct Neighbor {
 /// symmetric pair of directed edges created by
 /// [`Graph::add_undirected_edge`]; directed graphs are also fully supported
 /// because the DAG-workflow extension (§5 future work) needs them.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct Graph<N, E> {
     nodes: Vec<N>,
     edges: Vec<Edge<E>>,
@@ -238,6 +238,73 @@ impl<N, E> Graph<N, E> {
     }
 }
 
+/// The wire form of a [`Graph`]: read as it stands, then verified before
+/// it becomes one.
+#[derive(Deserialize)]
+struct GraphWire<N, E> {
+    nodes: Vec<N>,
+    edges: Vec<Edge<E>>,
+    out: Vec<Vec<EdgeId>>,
+}
+
+/// Decoding verifies the wire form instead of trusting it. `out` repeats
+/// what `edges` already says, and readers of either (neighbor scans and
+/// CSR snapshots read `out`; fingerprints read `edges`) must see one
+/// graph, so a decoded graph has to be one [`Graph::add_edge`] could have
+/// built.
+impl<N: Deserialize, E: Deserialize> Deserialize for Graph<N, E> {
+    fn deserialize(r: &mut serde::Reader<'_>) -> std::result::Result<Self, serde::Error> {
+        let GraphWire { nodes, edges, out } = GraphWire::deserialize(r)?;
+        let graph = Graph { nodes, edges, out };
+        graph
+            .verify_adjacency()
+            .map_err(|e| serde::Error(format!("invalid graph: {e}")))?;
+        Ok(graph)
+    }
+}
+
+impl<N, E> Graph<N, E> {
+    /// Checks that every edge joins two distinct existing nodes and that
+    /// `out[v]` lists exactly the edges leaving `v`, in id order.
+    fn verify_adjacency(&self) -> std::result::Result<(), String> {
+        for (i, e) in self.edges.iter().enumerate() {
+            self.check_node(e.src)
+                .and_then(|()| self.check_node(e.dst))
+                .map_err(|err| format!("edge {i}: {err}"))?;
+            if e.src == e.dst {
+                return Err(format!("edge {i}: {}", GraphError::SelfLoop(e.src)));
+            }
+        }
+        if self.out.len() != self.nodes.len() {
+            return Err(format!(
+                "{} adjacency lists for {} nodes",
+                self.out.len(),
+                self.nodes.len()
+            ));
+        }
+        // Each listed id leaves its node and each list ascends, so no id is
+        // listed twice; the count then shows that none is missing.
+        let mut listed = 0usize;
+        for (v, list) in self.out.iter().enumerate() {
+            let leaves_v =
+                |id: &EdgeId| self.edges.get(id.index()).map(|e| e.src.index()) == Some(v);
+            if !list.iter().all(leaves_v) || !list.windows(2).all(|w| w[0] < w[1]) {
+                return Err(format!(
+                    "the adjacency list of node {v} does not match the edges"
+                ));
+            }
+            listed += list.len();
+        }
+        if listed != self.edges.len() {
+            return Err(format!(
+                "the adjacency lists hold {listed} of {} edges",
+                self.edges.len()
+            ));
+        }
+        Ok(())
+    }
+}
+
 impl<N, E: Clone> Graph<N, E> {
     /// Adds an undirected link as a symmetric pair of directed edges and
     /// returns `(forward, reverse)` ids. The two ids are always consecutive
@@ -393,6 +460,61 @@ mod tests {
             g2.neighbors(NodeId(1)).count(),
             g.neighbors(NodeId(1)).count()
         );
+    }
+
+    #[test]
+    fn decoding_rejects_a_graph_its_edges_contradict() {
+        let json = serde_json::to_string(&triangle()).unwrap();
+        assert!(json.contains("\"out\":[[0,5],[1,2],[3,4]]"), "{json}");
+        assert!(json.starts_with("{\"nodes\":[\"a\",\"b\",\"c\"],\"edges\":[{\"src\":0,\"dst\":1,"));
+        let forged = [
+            (
+                "[[0,5],[1,2],[3,4]]",
+                "[[5,0],[1,2],[3,4]]",
+                "out of id order",
+            ),
+            (
+                "[[0,5],[1,2],[3,4]]",
+                "[[0],[1,2],[3,4]]",
+                "an edge unlisted",
+            ),
+            (
+                "[[0,5],[1,2],[3,4]]",
+                "[[0,5,5],[1,2],[3,4]]",
+                "an edge listed twice",
+            ),
+            (
+                "[[0,5],[1,2],[3,4]]",
+                "[[0,2],[1,5],[3,4]]",
+                "edges under the wrong node",
+            ),
+            (
+                "[[0,5],[1,2],[3,4]]",
+                "[[0,5],[1,2],[3,4,6]]",
+                "an edge id out of range",
+            ),
+            (
+                "[[0,5],[1,2],[3,4]]",
+                "[[0,5],[1,2]]",
+                "a node without a list",
+            ),
+            (
+                "\"src\":0,\"dst\":1,",
+                "\"src\":0,\"dst\":3,",
+                "an endpoint out of range",
+            ),
+            (
+                "\"src\":0,\"dst\":1,",
+                "\"src\":0,\"dst\":0,",
+                "a self-loop",
+            ),
+        ];
+        for (from, to, what) in forged {
+            let bad = json.replacen(from, to, 1);
+            assert_ne!(bad, json);
+            let err = serde_json::from_str::<Graph<String, f64>>(&bad).unwrap_err();
+            assert!(err.0.contains("invalid graph"), "{what}: {err}");
+        }
     }
 
     #[test]

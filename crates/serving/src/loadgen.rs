@@ -358,7 +358,7 @@ fn build_report(
     server_errors: usize,
     lost: usize,
 ) -> LoadReport {
-    lat.sort_by(|a, b| a.partial_cmp(b).expect("latencies are finite"));
+    lat.sort_by(f64::total_cmp);
     LoadReport {
         sent,
         ok,

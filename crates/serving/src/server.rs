@@ -178,7 +178,7 @@ impl Shared {
     fn stats_snapshot(&self) -> StatsReply {
         let bank = self.bank.stats();
         let mut sorted = self.stats.latencies.lock().clone();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("latencies are finite"));
+        sorted.sort_by(f64::total_cmp);
         StatsReply {
             requests: self.stats.requests.load(Ordering::Relaxed),
             accepted: self.stats.accepted.load(Ordering::Relaxed),

@@ -447,3 +447,292 @@ fn max_prefix_is_rejected_cheaply() {
         Err(FrameError::TooLarge { .. })
     ));
 }
+
+// ---------------------------------------------------------------------------
+// Golden bytes
+// ---------------------------------------------------------------------------
+
+/// 64-bit FNV-1a: a stable digest of an exact byte string.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+fn seeded_solve(modules: usize, nodes: usize, links: usize, seed: u64) -> SolveRequest {
+    SolveRequest {
+        solver: "elpc_delay_routed".into(),
+        cost: CostModel::default(),
+        threads: 1,
+        timeout_ms: Some(2_500),
+        instance: InstanceSpec::sized(modules, nodes, links)
+            .generate(seed)
+            .expect("sized specs generate"),
+    }
+}
+
+fn golden_solve_reply() -> SolveReply {
+    SolveReply {
+        solver: "lns_delay".into(),
+        assignment: vec![NodeId(0), NodeId(17), NodeId(199)],
+        objective_ms: 123.456_789_012_345_6,
+        banked: true,
+        coalesced: false,
+        queue_ms: 0.0,
+        solve_ms: 2.8479602678411194e164,
+    }
+}
+
+/// Every frame kind the protocol carries, encoded by the codec under test,
+/// keyed by a name for the failure message.
+fn golden_frames() -> Vec<(&'static str, String)> {
+    let mut frames = vec![
+        (
+            "solve_200",
+            encode_request(&RequestFrame {
+                id: 1,
+                body: Request::Solve(seeded_solve(5, 200, 460, 1)),
+            }),
+        ),
+        (
+            "solve_1000",
+            encode_request(&RequestFrame {
+                id: u64::MAX,
+                body: Request::Solve(seeded_solve(6, 1000, 2300, 2)),
+            }),
+        ),
+        (
+            "remap_failure",
+            encode_request(&RequestFrame {
+                id: 3,
+                body: Request::Remap(RemapRequest {
+                    solve: seeded_solve(4, 12, 20, 3),
+                    previous: vec![NodeId(0), NodeId(5), NodeId(11)],
+                    previous_key: Some(0xdead_beef_cafe_f00d),
+                    delta: Some(NetworkDelta {
+                        links: vec![LinkPerturbation {
+                            edge: EdgeId(4),
+                            src: NodeId(2),
+                            dst: NodeId(3),
+                            old: Link::new(100.0, 0.1),
+                            new: Link::new(62.5, 1e-7),
+                        }],
+                        nodes: vec![NodePerturbation {
+                            node: NodeId(6),
+                            old_power: 1e15,
+                            new_power: 0.3,
+                        }],
+                        link_failures: vec![LinkFailure {
+                            edge: EdgeId(9),
+                            src: NodeId(7),
+                            dst: NodeId(1),
+                            old: Link::new(1e300, 2.0),
+                        }],
+                        node_failures: vec![NodeFailure {
+                            node: NodeId(8),
+                            old_power: -0.0,
+                        }],
+                    }),
+                }),
+            }),
+        ),
+        (
+            "remap_plain",
+            encode_request(&RequestFrame {
+                id: 4,
+                body: Request::Remap(RemapRequest {
+                    solve: seeded_solve(3, 8, 10, 4),
+                    previous: Vec::new(),
+                    previous_key: None,
+                    delta: None,
+                }),
+            }),
+        ),
+    ];
+    for (name, body) in [
+        ("ping", Request::Ping),
+        ("stats", Request::Stats),
+        ("shutdown", Request::Shutdown),
+    ] {
+        frames.push((name, encode_request(&RequestFrame { id: 5, body })));
+    }
+    let errors = [
+        ServeError::UnknownSolver {
+            name: "nö \"such\"\tsolver\u{1}".into(),
+        },
+        ServeError::Solve(SolveFailure {
+            kind: SolveErrorKind::Infeasible,
+            message: "dst unreachable".into(),
+        }),
+        ServeError::Solve(SolveFailure {
+            kind: SolveErrorKind::BudgetExhausted { budget: u64::MAX },
+            message: "budget → 🦀".into(),
+        }),
+        ServeError::Timeout { waited_ms: 250 },
+        ServeError::Overloaded { retry_after_ms: 0 },
+        ServeError::Malformed {
+            detail: "back\\slash\r\n".into(),
+        },
+        ServeError::ShuttingDown,
+        ServeError::Internal {
+            detail: String::new(),
+        },
+    ];
+    let mut responses = vec![
+        ("pong", Response::Pong),
+        ("solved", Response::Solved(golden_solve_reply())),
+        (
+            "remapped",
+            Response::Remapped(RemapReply {
+                reply: SolveReply {
+                    objective_ms: f64::NAN,
+                    queue_ms: f64::INFINITY,
+                    solve_ms: -1e-300,
+                    ..golden_solve_reply()
+                },
+                changed: true,
+                repaired: false,
+            }),
+        ),
+        (
+            "stats",
+            Response::Stats(StatsReply {
+                requests: 1,
+                accepted: 2,
+                shed: 3,
+                completed: 4,
+                errors: 5,
+                timeouts: 6,
+                coalesced: 7,
+                queue_depth: 8,
+                max_queue_depth: 9,
+                workers: 10,
+                bank_hits: 11,
+                bank_misses: 12,
+                bank_deposits: 13,
+                bank_repairs: u64::MAX,
+                latency: LatencySummary {
+                    count: 42,
+                    p50_ms: 5.29,
+                    p99_ms: 1.8e19,
+                    max_ms: f64::NEG_INFINITY,
+                },
+            }),
+        ),
+        ("shutting_down", Response::ShuttingDown),
+    ];
+    responses.extend(errors.into_iter().map(|e| ("error", Response::Error(e))));
+    for (name, body) in responses {
+        frames.push((name, encode_response(&ResponseFrame { id: 6, body })));
+    }
+    frames
+}
+
+/// The exact bytes of every frame kind are pinned: a codec rewrite must
+/// reproduce them, so a client and a server on either side of the change
+/// still understand each other. The digests were captured from the
+/// `Value`-tree codec that preceded the streaming one.
+#[test]
+fn wire_frames_match_their_golden_digests() {
+    let frames = golden_frames();
+    let got: Vec<(&str, usize, u64)> = frames
+        .iter()
+        .map(|(name, json)| (*name, json.len(), fnv1a(json.as_bytes())))
+        .collect();
+    let want: &[(&str, usize, u64)] = &[
+        ("solve_200", 95941, 14141566420743294914),
+        ("solve_1000", 485234, 16795124179995024655),
+        ("remap_failure", 5388, 6294599643043901902),
+        ("remap_plain", 2711, 16058724705547882951),
+        ("ping", 22, 6234271239347523505),
+        ("stats", 23, 3996861195192338866),
+        ("shutdown", 26, 2925389487665102903),
+        ("pong", 22, 2992853793306637784),
+        ("solved", 330, 1553220857375035807),
+        ("remapped", 500, 1590746413395869678),
+        ("stats", 331, 16543730666243983185),
+        ("shutting_down", 30, 6753862452153943376),
+        ("error", 81, 17094239676795163563),
+        ("error", 85, 17241550899493051273),
+        ("error", 124, 8012225153945498024),
+        ("error", 55, 10262771146803348281),
+        ("error", 61, 1361762421145149953),
+        ("error", 68, 13027823928791378170),
+        ("error", 40, 1527902728999876696),
+        ("error", 52, 8907171488014586804),
+    ];
+    assert_eq!(got, want);
+}
+
+/// The pretty printer behind every committed artifact is pinned the same
+/// way, on a results row that exercises each `Outcome` shape, nested
+/// arrays, an empty array, `None`, a tuple and a non-finite float.
+#[test]
+fn pretty_results_row_matches_its_golden_digest() {
+    use elpc_workloads::compare::{CaseResult, MemberAttribution, Outcome};
+    let solved = |ms: f64| Outcome::Solved { ms };
+    let row = CaseResult {
+        label: "case-7 (20×100×400)".into(),
+        dims: (20, 100, 400),
+        delay_elpc: solved(182.5),
+        delay_elpc_strict: solved(190.000_000_000_1),
+        delay_streamline: solved(1e15),
+        delay_greedy: Outcome::Infeasible,
+        rate_elpc: solved(0.1),
+        rate_elpc_strict: solved(f64::NAN),
+        rate_streamline: Outcome::Error("bad config: \"k\" must be ≥ 1".into()),
+        rate_greedy: solved(3.0),
+        delay_anneal: solved(183.25),
+        delay_genetic: solved(2.8479602678411194e164),
+        delay_tabu: solved(-0.0),
+        delay_lns: solved(182.5),
+        delay_portfolio: solved(182.5),
+        rate_anneal: Outcome::Infeasible,
+        rate_genetic: solved(4.4),
+        rate_tabu: solved(4.5),
+        rate_lns: solved(4.25),
+        rate_portfolio: solved(4.25),
+        delay_portfolio_members: Some(vec![
+            MemberAttribution {
+                name: "anneal_delay".into(),
+                outcome: solved(183.25),
+                elapsed_ms: 12.75,
+                won: false,
+            },
+            MemberAttribution {
+                name: "lns_delay".into(),
+                outcome: Outcome::Error("budget".into()),
+                elapsed_ms: 1e-9,
+                won: true,
+            },
+        ]),
+        rate_portfolio_members: Some(Vec::new()),
+        quality_gap_delay: Some(1.0),
+        quality_gap_rate: None,
+    };
+    let json = serde_json::to_string_pretty(&row).expect("serialize");
+    assert_eq!(
+        (json.len(), fnv1a(json.as_bytes())),
+        (1801, 10793624316484327761)
+    );
+}
+
+/// A frame that names one field twice is rejected rather than letting
+/// either occurrence win, so no two decoders can read different ids or
+/// bodies out of one frame. Unknown keys are still skipped.
+#[test]
+fn a_frame_with_a_repeated_field_is_rejected() {
+    for json in [
+        r#"{"id":1,"id":2,"body":"Ping"}"#,
+        r#"{"id":1,"body":"Ping","body":"Stats"}"#,
+    ] {
+        match decode_request(json.as_bytes()) {
+            Err(FrameError::Json(e)) => assert!(e.contains("duplicate field"), "{e}"),
+            other => panic!("{json} must be rejected, got {other:?}"),
+        }
+    }
+    let frame = decode_request(br#"{"id":1,"trace":{"x":[1,2]},"body":"Ping"}"#)
+        .expect("unknown keys are skipped");
+    assert_eq!(frame.id, 1);
+    assert!(matches!(frame.body, Request::Ping));
+}

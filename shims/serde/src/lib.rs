@@ -2,99 +2,47 @@
 //!
 //! The build environment for this repository has no access to crates.io, so
 //! this crate provides the small slice of serde's surface the workspace
-//! actually uses: `#[derive(Serialize, Deserialize)]` plus the trait pair,
-//! realized over an owned JSON-like [`Value`] tree. The companion
-//! `serde_json` shim prints and parses that tree.
+//! actually uses: `#[derive(Serialize, Deserialize)]` plus the trait pair.
+//!
+//! The codec **streams**. [`Serialize`] writes JSON text straight into a
+//! [`Writer`], and [`Deserialize`] reads straight out of a [`Reader`] over
+//! the borrowed input; no intermediate value tree is built on either side.
+//! The companion `serde_json` shim is a thin entry point over the two.
 //!
 //! The data model intentionally mirrors serde's JSON mapping so swapping the
 //! real crates back in later is a manifest-only change:
 //!
-//! * named structs → objects keyed by field name;
+//! * named structs → objects keyed by field name; unknown keys are skipped,
+//!   a missing field is an error, and so is a field given twice;
 //! * newtype structs → the inner value, transparently;
-//! * tuple structs → arrays;
-//! * unit enum variants → the variant name as a string;
+//! * tuple structs and tuples → arrays of exactly their arity;
+//! * unit enum variants → the variant name as a string (the externally
+//!   tagged form `{"Variant": …}` is accepted too, its payload ignored);
 //! * data-carrying enum variants → externally tagged objects
 //!   `{"Variant": payload}`;
-//! * `Option` → the value or `null`; non-finite floats → `null`.
+//! * `Option` → the value or `null`; non-finite floats → `null`, which
+//!   reads back as NaN;
+//! * integers are read from integer literals and from integral floats;
+//!   digit strings past `i128` read as floats.
+//!
+//! Reading is bounded: nesting deeper than [`MAX_DEPTH`] arrays and objects
+//! is an error, never a stack overflow.
 
 pub use serde_derive::{Deserialize, Serialize};
+
+mod read;
+mod write;
+
+use read::Number;
+pub use read::{Reader, MAX_DEPTH};
+pub use write::Writer;
 
 use std::collections::BTreeMap;
 use std::fmt;
 
-/// An owned, ordered JSON-like value tree.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Value {
-    /// JSON `null`.
-    Null,
-    /// JSON boolean.
-    Bool(bool),
-    /// Integer (kept exact so `u64` seeds survive round trips).
-    Int(i128),
-    /// Finite floating-point number.
-    Num(f64),
-    /// String.
-    Str(String),
-    /// Array.
-    Arr(Vec<Value>),
-    /// Object with insertion-ordered keys.
-    Obj(Vec<(String, Value)>),
-}
-
-impl Value {
-    /// Looks up a key in an object value.
-    pub fn get(&self, key: &str) -> Option<&Value> {
-        match self {
-            Value::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    /// Required-field lookup with a descriptive error.
-    pub fn field(&self, key: &str) -> Result<&Value, Error> {
-        self.get(key)
-            .ok_or_else(|| Error(format!("missing field `{key}`")))
-    }
-
-    /// The object entries, or an error naming what was found instead.
-    pub fn as_obj(&self) -> Result<&[(String, Value)], Error> {
-        match self {
-            Value::Obj(fields) => Ok(fields),
-            other => Err(Error(format!("expected object, found {}", other.kind()))),
-        }
-    }
-
-    /// The array elements, or an error.
-    pub fn as_arr(&self) -> Result<&[Value], Error> {
-        match self {
-            Value::Arr(items) => Ok(items),
-            other => Err(Error(format!("expected array, found {}", other.kind()))),
-        }
-    }
-
-    fn kind(&self) -> &'static str {
-        match self {
-            Value::Null => "null",
-            Value::Bool(_) => "bool",
-            Value::Int(_) => "integer",
-            Value::Num(_) => "number",
-            Value::Str(_) => "string",
-            Value::Arr(_) => "array",
-            Value::Obj(_) => "object",
-        }
-    }
-}
-
 /// Serialization / deserialization failure.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Error(pub String);
-
-impl Error {
-    /// Helper for "expected X" errors.
-    pub fn expected(what: &str) -> Self {
-        Error(format!("expected {what}"))
-    }
-}
 
 impl fmt::Display for Error {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -104,35 +52,42 @@ impl fmt::Display for Error {
 
 impl std::error::Error for Error {}
 
-/// Types that can render themselves into a [`Value`].
+/// Types that can write themselves as JSON.
 pub trait Serialize {
-    /// Converts `self` into the value tree.
-    fn to_value(&self) -> Value;
+    /// Writes `self` into `w`.
+    fn serialize(&self, w: &mut Writer);
 }
 
-/// Types reconstructible from a [`Value`].
+/// Types that can read themselves from JSON.
 pub trait Deserialize: Sized {
-    /// Parses `self` out of the value tree.
-    fn from_value(v: &Value) -> Result<Self, Error>;
+    /// Reads one value of this type from `r`.
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error>;
+}
+
+/// The value of a required object field, or the missing-field error.
+pub fn required<T>(slot: Option<T>, name: &str) -> Result<T, Error> {
+    slot.ok_or_else(|| Error(format!("missing field `{name}`")))
 }
 
 // ---------------------------------------------------------------- integers
 
 macro_rules! impl_int {
-    ($($t:ty),*) => {$(
+    ($write:ident as $wide:ty: $($t:ty),*) => {$(
         impl Serialize for $t {
-            fn to_value(&self) -> Value {
-                Value::Int(*self as i128)
+            #[inline]
+            fn serialize(&self, w: &mut Writer) {
+                w.$write(*self as $wide);
             }
         }
         impl Deserialize for $t {
-            fn from_value(v: &Value) -> Result<Self, Error> {
-                match v {
-                    Value::Int(i) => <$t>::try_from(*i)
+            #[inline]
+            fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
+                match r.number()? {
+                    Number::Int(i) => <$t>::try_from(i)
                         .map_err(|_| Error(format!("integer {i} out of range for {}", stringify!($t)))),
-                    Value::Num(f) if f.fract() == 0.0 => Ok(*f as $t),
-                    other => Err(Error(format!(
-                        "expected integer for {}, found {}", stringify!($t), other.kind()
+                    Number::Float(f) if f.fract() == 0.0 => Ok(f as $t),
+                    Number::Float(f) => Err(Error(format!(
+                        "expected integer for {}, found {f}", stringify!($t)
                     ))),
                 }
             }
@@ -140,18 +95,19 @@ macro_rules! impl_int {
     )*};
 }
 
-impl_int!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
+impl_int!(u64 as u64: u8, u16, u32, u64, usize);
+impl_int!(i64 as i64: i8, i16, i32, i64, isize);
 
 impl Serialize for i128 {
-    fn to_value(&self) -> Value {
-        Value::Int(*self)
+    fn serialize(&self, w: &mut Writer) {
+        w.i128(*self);
     }
 }
 impl Deserialize for i128 {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        match v {
-            Value::Int(i) => Ok(*i),
-            other => Err(Error(format!("expected integer, found {}", other.kind()))),
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
+        match r.number()? {
+            Number::Int(i) => Ok(i),
+            Number::Float(f) => Err(Error(format!("expected integer, found {f}"))),
         }
     }
 }
@@ -161,19 +117,21 @@ impl Deserialize for i128 {
 macro_rules! impl_float {
     ($($t:ty),*) => {$(
         impl Serialize for $t {
-            fn to_value(&self) -> Value {
-                let f = *self as f64;
-                if f.is_finite() { Value::Num(f) } else { Value::Null }
+            #[inline]
+            fn serialize(&self, w: &mut Writer) {
+                w.f64(*self as f64);
             }
         }
         impl Deserialize for $t {
-            fn from_value(v: &Value) -> Result<Self, Error> {
-                match v {
-                    Value::Num(f) => Ok(*f as $t),
-                    Value::Int(i) => Ok(*i as $t),
-                    Value::Null => Ok(<$t>::NAN), // non-finite round trip
-                    other => Err(Error(format!("expected number, found {}", other.kind()))),
+            #[inline]
+            fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
+                if r.null()? {
+                    return Ok(<$t>::NAN); // non-finite round trip
                 }
+                Ok(match r.number()? {
+                    Number::Float(f) => f as $t,
+                    Number::Int(i) => i as $t,
+                })
             }
         }
     )*};
@@ -184,52 +142,60 @@ impl_float!(f32, f64);
 // ---------------------------------------------------------------- scalars
 
 impl Serialize for bool {
-    fn to_value(&self) -> Value {
-        Value::Bool(*self)
+    fn serialize(&self, w: &mut Writer) {
+        w.bool(*self);
     }
 }
 impl Deserialize for bool {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        match v {
-            Value::Bool(b) => Ok(*b),
-            other => Err(Error(format!("expected bool, found {}", other.kind()))),
-        }
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
+        r.bool()
     }
 }
 
 impl Serialize for String {
-    fn to_value(&self) -> Value {
-        Value::Str(self.clone())
+    fn serialize(&self, w: &mut Writer) {
+        w.str(self);
     }
 }
 impl Deserialize for String {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        match v {
-            Value::Str(s) => Ok(s.clone()),
-            other => Err(Error(format!("expected string, found {}", other.kind()))),
-        }
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
+        r.str().map(|s| s.into_owned())
     }
 }
 
 impl Serialize for str {
-    fn to_value(&self) -> Value {
-        Value::Str(self.to_string())
+    fn serialize(&self, w: &mut Writer) {
+        w.str(self);
     }
 }
 
 impl Serialize for char {
-    fn to_value(&self) -> Value {
-        Value::Str(self.to_string())
+    fn serialize(&self, w: &mut Writer) {
+        w.str(self.encode_utf8(&mut [0; 4]));
     }
 }
 impl Deserialize for char {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        match v {
-            Value::Str(s) if s.chars().count() == 1 => Ok(s.chars().next().expect("checked")),
-            other => Err(Error(format!(
-                "expected single-char string, found {}",
-                other.kind()
-            ))),
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
+        let s = r.str()?;
+        let mut chars = s.chars();
+        match (chars.next(), chars.next()) {
+            (Some(c), None) => Ok(c),
+            _ => Err(Error(format!("expected single-char string, found {s:?}"))),
+        }
+    }
+}
+
+impl Serialize for () {
+    fn serialize(&self, w: &mut Writer) {
+        w.null();
+    }
+}
+impl Deserialize for () {
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
+        if r.null()? {
+            Ok(())
+        } else {
+            Err(Error("expected null".into()))
         }
     }
 }
@@ -237,98 +203,121 @@ impl Deserialize for char {
 // --------------------------------------------------------------- adapters
 
 impl<T: Serialize + ?Sized> Serialize for &T {
-    fn to_value(&self) -> Value {
-        (**self).to_value()
+    fn serialize(&self, w: &mut Writer) {
+        (**self).serialize(w);
     }
 }
 
 impl<T: Serialize + ?Sized> Serialize for Box<T> {
-    fn to_value(&self) -> Value {
-        (**self).to_value()
+    fn serialize(&self, w: &mut Writer) {
+        (**self).serialize(w);
     }
 }
 impl<T: Deserialize> Deserialize for Box<T> {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        T::from_value(v).map(Box::new)
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
+        T::deserialize(r).map(Box::new)
     }
 }
 
 impl<T: Serialize> Serialize for Option<T> {
-    fn to_value(&self) -> Value {
+    fn serialize(&self, w: &mut Writer) {
         match self {
-            Some(t) => t.to_value(),
-            None => Value::Null,
+            Some(t) => t.serialize(w),
+            None => w.null(),
         }
     }
 }
 impl<T: Deserialize> Deserialize for Option<T> {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        match v {
-            Value::Null => Ok(None),
-            other => T::from_value(other).map(Some),
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
+        if r.null()? {
+            Ok(None)
+        } else {
+            T::deserialize(r).map(Some)
         }
     }
 }
 
-impl<T: Serialize> Serialize for Vec<T> {
-    fn to_value(&self) -> Value {
-        Value::Arr(self.iter().map(Serialize::to_value).collect())
-    }
-}
-impl<T: Deserialize> Deserialize for Vec<T> {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        v.as_arr()?.iter().map(T::from_value).collect()
+impl<T: Serialize> Serialize for [T] {
+    fn serialize(&self, w: &mut Writer) {
+        w.begin_array();
+        for item in self {
+            w.element();
+            item.serialize(w);
+        }
+        w.end_array();
     }
 }
 
-impl<T: Serialize> Serialize for [T] {
-    fn to_value(&self) -> Value {
-        Value::Arr(self.iter().map(Serialize::to_value).collect())
+impl<T: Serialize> Serialize for Vec<T> {
+    fn serialize(&self, w: &mut Writer) {
+        self.as_slice().serialize(w);
+    }
+}
+impl<T: Deserialize> Deserialize for Vec<T> {
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
+        r.begin_array()?;
+        let mut items = Vec::new();
+        let mut first = true;
+        while r.next_element(&mut first)? {
+            items.push(T::deserialize(r)?);
+        }
+        Ok(items)
     }
 }
 
 impl<T: Deserialize> Deserialize for Box<[T]> {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        Vec::<T>::from_value(v).map(Vec::into_boxed_slice)
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
+        Vec::<T>::deserialize(r).map(Vec::into_boxed_slice)
     }
 }
 
 impl<K: Serialize, V: Serialize> Serialize for BTreeMap<K, V> {
-    fn to_value(&self) -> Value {
-        // JSON keys are strings; render non-string keys through their value
-        Value::Obj(
-            self.iter()
-                .map(|(k, v)| {
-                    let key = match k.to_value() {
-                        Value::Str(s) => s,
-                        Value::Int(i) => i.to_string(),
-                        Value::Num(f) => f.to_string(),
-                        other => format!("{other:?}"),
-                    };
-                    (key, v.to_value())
-                })
-                .collect(),
-        )
+    /// JSON keys are strings: string keys are written as they are, number
+    /// keys as their decimal text (floats in `Display` form, so `3.0` is
+    /// `"3"`), and any other key as its compact JSON text.
+    fn serialize(&self, w: &mut Writer) {
+        w.begin_object();
+        for (k, v) in self {
+            let mut key = Writer::compact();
+            k.serialize(&mut key);
+            let mut key = key.finish();
+            if !key.starts_with('"') {
+                let text = match key.parse::<f64>() {
+                    Ok(f) if key.contains(['.', 'e', 'E']) => f.to_string(),
+                    _ => key,
+                };
+                let mut quoted = Writer::compact();
+                quoted.str(&text);
+                key = quoted.finish();
+            }
+            key.push(':');
+            w.key(&key);
+            v.serialize(w);
+        }
+        w.end_object();
     }
 }
 
 macro_rules! impl_tuple {
     ($(($($t:ident . $i:tt),+))*) => {$(
         impl<$($t: Serialize),+> Serialize for ($($t,)+) {
-            fn to_value(&self) -> Value {
-                Value::Arr(vec![$(self.$i.to_value()),+])
+            fn serialize(&self, w: &mut Writer) {
+                w.begin_array();
+                $(
+                    w.element();
+                    self.$i.serialize(w);
+                )+
+                w.end_array();
             }
         }
         impl<$($t: Deserialize),+> Deserialize for ($($t,)+) {
-            fn from_value(v: &Value) -> Result<Self, Error> {
-                let items = v.as_arr()?;
-                let want = [$($i),+].len();
-                if items.len() != want {
-                    return Err(Error(format!(
-                        "expected {want}-tuple, found array of {}", items.len()
-                    )));
-                }
-                Ok(($($t::from_value(&items[$i])?,)+))
+            fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
+                let arity = [$($i),+].len();
+                r.begin_array()?;
+                let mut first = true;
+                let tuple = ($(r.element::<$t>(&mut first, arity)?,)+);
+                r.end_tuple(&mut first, arity)?;
+                Ok(tuple)
             }
         }
     )*};
@@ -342,29 +331,27 @@ impl_tuple! {
 }
 
 impl<T: Serialize> Serialize for std::ops::Range<T> {
-    fn to_value(&self) -> Value {
-        Value::Obj(vec![
-            ("start".to_string(), self.start.to_value()),
-            ("end".to_string(), self.end.to_value()),
-        ])
+    fn serialize(&self, w: &mut Writer) {
+        w.begin_object();
+        w.key("\"start\":");
+        self.start.serialize(w);
+        w.key("\"end\":");
+        self.end.serialize(w);
+        w.end_object();
     }
 }
 impl<T: Deserialize> Deserialize for std::ops::Range<T> {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        Ok(T::from_value(v.field("start")?)?..T::from_value(v.field("end")?)?)
-    }
-}
-
-impl Serialize for () {
-    fn to_value(&self) -> Value {
-        Value::Null
-    }
-}
-impl Deserialize for () {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        match v {
-            Value::Null => Ok(()),
-            other => Err(Error(format!("expected null, found {}", other.kind()))),
+    fn deserialize(r: &mut Reader<'_>) -> Result<Self, Error> {
+        let (mut start, mut end) = (None, None);
+        r.begin_object()?;
+        let mut first = true;
+        while let Some(key) = r.next_key(&mut first)? {
+            match &*key {
+                "start" => r.field(&mut start, "start")?,
+                "end" => r.field(&mut end, "end")?,
+                _ => r.skip_value()?,
+            }
         }
+        Ok(required(start, "start")?..required(end, "end")?)
     }
 }

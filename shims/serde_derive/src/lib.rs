@@ -1,5 +1,20 @@
 //! `#[derive(Serialize, Deserialize)]` for the offline serde shim.
 //!
+//! The generated impls stream: `Serialize` calls the shim's `Writer` field
+//! by field, with every field name and unit-variant name baked in as a
+//! pre-quoted string literal, and `Deserialize` calls its `Reader` without
+//! building any intermediate value tree. A derived struct reads its object
+//! into one `Option` local per field:
+//!
+//! * it first tries its fields in declaration order, the order they are
+//!   written in, matching each key as a literal;
+//! * any other key is matched as a borrowed `&str`, and unknown keys are
+//!   skipped (their syntax still checked);
+//! * a field given twice is an error, and so is a missing one.
+//!
+//! Nesting is bounded by the reader's depth limit, so a recursive derived
+//! type cannot be driven off the end of the stack.
+//!
 //! Implemented directly on `proc_macro::TokenStream` (the build environment
 //! has no `syn`/`quote`). The parser handles exactly the shapes this
 //! workspace derives on: plain structs (named, tuple, unit) and enums whose
@@ -43,12 +58,12 @@ enum Item {
 pub fn derive_serialize(input: TokenStream) -> TokenStream {
     let item = parse_item(input);
     let body = match &item {
-        Item::Struct { shape, .. } => serialize_shape(shape, "self", None),
-        Item::Enum { variants, .. } => {
-            let mut arms = String::new();
-            for v in variants {
-                arms.push_str(&serialize_variant_arm(&item_name(&item), v));
-            }
+        Item::Struct { shape, .. } => serialize_shape(shape, &struct_accessors(shape)),
+        Item::Enum { name, variants, .. } => {
+            let arms: String = variants
+                .iter()
+                .map(|v| serialize_variant_arm(name, v))
+                .collect();
             format!("match self {{ {arms} }}")
         }
     };
@@ -56,7 +71,7 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
     let (impl_generics, ty_generics) = split_generics(generics, "serde::Serialize");
     format!(
         "impl{impl_generics} serde::Serialize for {name}{ty_generics} {{\n\
-             fn to_value(&self) -> serde::Value {{ {body} }}\n\
+             fn serialize(&self, w: &mut serde::Writer) {{ {body} }}\n\
          }}"
     )
     .parse()
@@ -67,14 +82,14 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
 pub fn derive_deserialize(input: TokenStream) -> TokenStream {
     let item = parse_item(input);
     let body = match &item {
-        Item::Struct { name, shape, .. } => deserialize_shape(name, shape),
+        Item::Struct { name, shape, .. } => format!("Ok({})", deserialize_shape(name, shape)),
         Item::Enum { name, variants, .. } => deserialize_enum(name, variants),
     };
     let (name, generics) = (item_name(&item), item_generics(&item));
     let (impl_generics, ty_generics) = split_generics(generics, "serde::Deserialize");
     format!(
         "impl{impl_generics} serde::Deserialize for {name}{ty_generics} {{\n\
-             fn from_value(v: &serde::Value) -> std::result::Result<Self, serde::Error> {{ {body} }}\n\
+             fn deserialize(r: &mut serde::Reader<'_>) -> std::result::Result<Self, serde::Error> {{ {body} }}\n\
          }}"
     )
     .parse()
@@ -106,105 +121,140 @@ fn split_generics(generics: &[String], bound: &str) -> (String, String) {
     }
 }
 
+/// A Rust string literal holding `name` as a quoted JSON string. Names are
+/// identifiers, so they need no escapes, and the writer emits the literal
+/// verbatim.
+fn quoted(name: &str) -> String {
+    format!("{:?}", format!("\"{name}\""))
+}
+
+/// A Rust string literal holding object key `name` as it is written and
+/// matched on the wire: quoted, then `:`.
+fn key_literal(name: &str) -> String {
+    format!("{:?}", format!("\"{name}\":"))
+}
+
+fn field_name(f: &Field) -> &str {
+    f.name.as_deref().expect("named field")
+}
+
 // ------------------------------------------------------------ serialization
 
-/// Serializes a shape given an accessor prefix: `self` (struct fields become
-/// `self.name` / `self.0`) or `None` prefix with explicit bindings (enum
-/// variants bind fields to `__f0`, `__f1`, … or their names).
-fn serialize_shape(shape: &Shape, this: &str, bindings: Option<&[String]>) -> String {
+/// Expressions reaching each field of `self`: `&self.name` or `&self.0`.
+fn struct_accessors(shape: &Shape) -> Vec<String> {
     match shape {
-        Shape::Unit => "serde::Value::Null".to_string(),
-        Shape::Tuple(fields) => {
-            let exprs: Vec<String> = (0..fields.len())
-                .map(|i| match bindings {
-                    Some(b) => format!("serde::Serialize::to_value({})", b[i]),
-                    None => format!("serde::Serialize::to_value(&{this}.{i})"),
-                })
+        Shape::Unit => Vec::new(),
+        Shape::Tuple(fields) => (0..fields.len()).map(|i| format!("&self.{i}")).collect(),
+        Shape::Named(fields) => fields
+            .iter()
+            .map(|f| format!("&self.{}", field_name(f)))
+            .collect(),
+    }
+}
+
+/// Writes a shape whose fields are reached through `access` (struct field
+/// paths, or the bindings of an enum variant's match arm).
+fn serialize_shape(shape: &Shape, access: &[String]) -> String {
+    let write = |a: &String| format!("serde::Serialize::serialize({a}, w);");
+    match shape {
+        Shape::Unit => "w.null();".to_string(),
+        // newtype: serialize transparently as the inner value
+        Shape::Tuple(fields) if fields.len() == 1 => write(&access[0]),
+        Shape::Tuple(_) => {
+            let elems: String = access
+                .iter()
+                .map(|a| format!("w.element(); {}", write(a)))
                 .collect();
-            if exprs.len() == 1 {
-                // newtype: serialize transparently as the inner value
-                exprs.into_iter().next().expect("one element")
-            } else {
-                format!("serde::Value::Arr(vec![{}])", exprs.join(", "))
-            }
+            format!("w.begin_array(); {elems} w.end_array();")
         }
         Shape::Named(fields) => {
-            let entries: Vec<String> = fields
+            let entries: String = fields
                 .iter()
-                .enumerate()
-                .map(|(i, f)| {
-                    let name = f.name.as_deref().expect("named field");
-                    let access = match bindings {
-                        Some(b) => b[i].clone(),
-                        None => format!("&{this}.{name}"),
-                    };
-                    format!("(\"{name}\".to_string(), serde::Serialize::to_value({access}))")
-                })
+                .zip(access)
+                .map(|(f, a)| format!("w.key({}); {}", key_literal(field_name(f)), write(a)))
                 .collect();
-            format!("serde::Value::Obj(vec![{}])", entries.join(", "))
+            format!("w.begin_object(); {entries} w.end_object();")
         }
     }
 }
 
 fn serialize_variant_arm(enum_name: &str, v: &Variant) -> String {
     let vname = &v.name;
-    match &v.shape {
+    let (pattern, binds) = match &v.shape {
         Shape::Unit => {
-            format!("{enum_name}::{vname} => serde::Value::Str(\"{vname}\".to_string()),\n")
+            return format!("{enum_name}::{vname} => w.raw({}),\n", quoted(vname));
         }
         Shape::Tuple(fields) => {
             let binds: Vec<String> = (0..fields.len()).map(|i| format!("__f{i}")).collect();
-            let payload = serialize_shape(&v.shape, "", Some(&binds));
-            format!(
-                "{enum_name}::{vname}({}) => serde::Value::Obj(vec![(\"{vname}\".to_string(), {payload})]),\n",
-                binds.join(", ")
-            )
+            (format!("({})", binds.join(", ")), binds)
         }
         Shape::Named(fields) => {
-            let names: Vec<String> = fields
+            // bound to fresh names: a field called `w` must not shadow the writer
+            let binds: Vec<String> = (0..fields.len()).map(|i| format!("__f{i}")).collect();
+            let pattern: Vec<String> = fields
                 .iter()
-                .map(|f| f.name.clone().expect("named field"))
+                .zip(&binds)
+                .map(|(f, b)| format!("{}: {b}", field_name(f)))
                 .collect();
-            let payload = serialize_shape(&v.shape, "", Some(&names));
-            format!(
-                "{enum_name}::{vname} {{ {} }} => serde::Value::Obj(vec![(\"{vname}\".to_string(), {payload})]),\n",
-                names.join(", ")
-            )
+            (format!("{{ {} }}", pattern.join(", ")), binds)
         }
-    }
+    };
+    let payload = serialize_shape(&v.shape, &binds);
+    format!(
+        "{enum_name}::{vname} {pattern} => {{ w.begin_object(); w.key({}); {payload} w.end_object(); }}\n",
+        key_literal(vname)
+    )
 }
 
 // ---------------------------------------------------------- deserialization
 
+/// An expression of type `path`'s type reading `shape` from `r`; `?`
+/// propagates errors out of the generated `deserialize`.
 fn deserialize_shape(path: &str, shape: &Shape) -> String {
     match shape {
-        Shape::Unit => format!("{{ let _ = v; Ok({path}) }}"),
+        // a unit struct has nothing to read: it accepts and ignores any value
+        Shape::Unit => format!("{{ r.skip_value()?; {path} }}"),
         Shape::Tuple(fields) if fields.len() == 1 => {
-            format!("Ok({path}(serde::Deserialize::from_value(v)?))")
+            format!("{path}(serde::Deserialize::deserialize(r)?)")
         }
         Shape::Tuple(fields) => {
             let n = fields.len();
-            let elems: Vec<String> = (0..n)
-                .map(|i| format!("serde::Deserialize::from_value(&__items[{i}])?"))
-                .collect();
+            let elems = vec![format!("r.element(&mut __first, {n})?"); n].join(", ");
             format!(
-                "{{ let __items = v.as_arr()?;\n\
-                   if __items.len() != {n} {{\n\
-                       return Err(serde::Error(format!(\"expected {n} elements, found {{}}\", __items.len())));\n\
-                   }}\n\
-                   Ok({path}({})) }}",
-                elems.join(", ")
+                "{{ r.begin_array()?;\n\
+                   let mut __first = true;\n\
+                   let __value = {path}({elems});\n\
+                   r.end_tuple(&mut __first, {n})?;\n\
+                   __value }}"
             )
         }
         Shape::Named(fields) => {
-            let inits: Vec<String> = fields
-                .iter()
-                .map(|f| {
-                    let name = f.name.as_deref().expect("named field");
-                    format!("{name}: serde::Deserialize::from_value(v.field(\"{name}\")?)?")
-                })
-                .collect();
-            format!("Ok({path} {{ {} }})", inits.join(", "))
+            let mut slots = String::new();
+            let mut in_order = String::new();
+            let mut arms = String::new();
+            let mut inits = Vec::new();
+            for (i, f) in fields.iter().enumerate() {
+                let name = field_name(f);
+                let key = key_literal(name);
+                slots.push_str(&format!("let mut __f{i} = None;\n"));
+                in_order.push_str(&format!(
+                    "if r.expect_key(&mut __first, {key}) {{ r.field(&mut __f{i}, {name:?})?; }}\n"
+                ));
+                arms.push_str(&format!("{name:?} => r.field(&mut __f{i}, {name:?})?,\n"));
+                inits.push(format!("{name}: serde::required(__f{i}, {name:?})?"));
+            }
+            // the fields in the order they are written, then any key at all
+            format!(
+                "{{ {slots}\
+                   r.begin_object()?;\n\
+                   let mut __first = true;\n\
+                   {in_order}\
+                   while let Some(__key) = r.next_key(&mut __first)? {{\n\
+                       match &*__key {{ {arms} _ => r.skip_value()?, }}\n\
+                   }}\n\
+                   {path} {{ {} }} }}",
+                inits.join(", ")
+            )
         }
     }
 }
@@ -216,32 +266,33 @@ fn deserialize_enum(name: &str, variants: &[Variant]) -> String {
         let vname = &v.name;
         match &v.shape {
             Shape::Unit => {
-                unit_arms.push_str(&format!("\"{vname}\" => return Ok({name}::{vname}),\n"));
-                // also accept the externally-tagged object form
+                unit_arms.push_str(&format!("{vname:?} => Ok({name}::{vname}),\n"));
+                // also accept the externally tagged object form
                 tagged_arms.push_str(&format!(
-                    "\"{vname}\" => {{ let _ = __payload; return Ok({name}::{vname}); }}\n"
+                    "{vname:?} => {{ r.skip_value()?; {name}::{vname} }}\n"
                 ));
             }
             shape => {
-                let body = deserialize_shape(&format!("{name}::{vname}"), shape);
-                tagged_arms.push_str(&format!(
-                    "\"{vname}\" => {{ let v = __payload; return {body}; }}\n"
-                ));
+                let value = deserialize_shape(&format!("{name}::{vname}"), shape);
+                tagged_arms.push_str(&format!("{vname:?} => {value},\n"));
             }
         }
     }
     format!(
-        "{{\n\
-           if let serde::Value::Str(__s) = v {{\n\
-               match __s.as_str() {{ {unit_arms} _ => {{}} }}\n\
-           }}\n\
-           if let serde::Value::Obj(__fields) = v {{\n\
-               if __fields.len() == 1 {{\n\
-                   let (__tag, __payload) = &__fields[0];\n\
-                   match __tag.as_str() {{ {tagged_arms} _ => {{}} }}\n\
-               }}\n\
-           }}\n\
-           Err(serde::Error(format!(\"no variant of {name} matched\")))\n\
+        "let __no_match = || serde::Error(format!(\"no variant of {name} matched\"));\n\
+         match r.peek() {{\n\
+             Some(b'\"') => match &*r.str()? {{ {unit_arms} _ => Err(__no_match()) }},\n\
+             Some(b'{{') => {{\n\
+                 r.begin_object()?;\n\
+                 let mut __first = true;\n\
+                 let __tag = r.next_key(&mut __first)?.ok_or_else(__no_match)?;\n\
+                 let __value = match &*__tag {{ {tagged_arms} _ => return Err(__no_match()) }};\n\
+                 if r.next_key(&mut __first)?.is_some() {{\n\
+                     return Err(__no_match());\n\
+                 }}\n\
+                 Ok(__value)\n\
+             }}\n\
+             _ => Err(__no_match()),\n\
          }}"
     )
 }

@@ -10,10 +10,14 @@
 //! assignment, a flipped error, a single objective bit — fails the test.
 
 use elpc_mapping::{registry, CostModel, SolveContext};
+use elpc_serving::protocol::{
+    decode_response, encode_request, read_frame, write_frame, Request, RequestFrame, Response,
+};
 use elpc_serving::{
     Client, ClientError, RemapRequest, ServeError, Server, ServerConfig, SolveRequest,
 };
 use elpc_workloads::{InstanceSpec, ProblemInstance};
+use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
 
 fn socket_path(tag: &str) -> PathBuf {
@@ -225,5 +229,47 @@ fn remap_reports_movement_against_previous_assignment() {
         .expect("remap");
     assert!(moved.changed, "empty previous assignment always differs");
 
+    server.shutdown();
+}
+
+/// Frames nesting 200 000 arrays deep are a few hundred KB, far under the
+/// frame-size limit. The daemon answers each with a typed `Malformed`
+/// error (id 0: the real id is unrecoverable) instead of overflowing a
+/// stack, and the same connection goes on answering `Ping`. The second
+/// frame hides the nesting under an unknown key, so only the decoder's
+/// depth limit stops it.
+#[test]
+fn deeply_nested_frames_are_malformed_and_the_connection_survives() {
+    let socket = socket_path("deep");
+    let server = Server::bind(&socket, ServerConfig::default()).expect("bind");
+    let mut stream = UnixStream::connect(&socket).expect("connect");
+    let mut exchange = |payload: &[u8]| {
+        write_frame(&mut stream, payload).expect("send");
+        let reply = read_frame(&mut stream).expect("read").expect("a reply");
+        decode_response(&reply).expect("reply decodes")
+    };
+    let deep = "[".repeat(200_000);
+    for (i, prefix) in ["{\"id\":1,\"body\":", "{\"id\":1,\"pad\":"]
+        .into_iter()
+        .enumerate()
+    {
+        let reply = exchange(format!("{prefix}{deep}").as_bytes());
+        assert_eq!(reply.id, 0);
+        match reply.body {
+            Response::Error(ServeError::Malformed { detail }) => {
+                if i == 1 {
+                    assert!(detail.contains("nesting deeper than"), "{detail}");
+                }
+            }
+            other => panic!("expected Malformed, got {other:?}"),
+        }
+        let id = 10 + i as u64;
+        let ping = encode_request(&RequestFrame {
+            id,
+            body: Request::Ping,
+        });
+        let pong = exchange(ping.as_bytes());
+        assert_eq!((pong.id, pong.body), (id, Response::Pong));
+    }
     server.shutdown();
 }

@@ -12,11 +12,15 @@
 
 use elpc_mapping::{solver, CostModel, EdgeId, NetworkDelta, SolveContext};
 use elpc_netsim::Link;
+use elpc_serving::protocol::{
+    decode_response, encode_request, read_frame, write_frame, Request, RequestFrame, Response,
+};
 use elpc_serving::{
     Client, ClientError, RemapRequest, ServeError, Server, ServerConfig, SolveRequest,
 };
 use elpc_workloads::bank::bank_key;
 use elpc_workloads::{InstanceSpec, ProblemInstance};
+use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
@@ -462,4 +466,76 @@ fn closure_free_leader_leaves_the_key_open_for_a_deposit() {
         "greedy's checkout + the first deposit"
     );
     assert_eq!(stats.bank_deposits, 1);
+}
+
+/// Drops the first edge id from the first non-empty adjacency list of the
+/// encoded graph: the `edges` array, and so the bank key, stay genuine
+/// while the adjacency the solver would walk loses a link.
+fn forge_adjacency(json: &str) -> String {
+    let lists = json.find("\"out\":[").expect("graph adjacency") + "\"out\":[".len();
+    let open = lists
+        + json[lists..]
+            .find(|c: char| c.is_ascii_digit())
+            .expect("an edge id")
+        - 1;
+    let end = open + 1 + json[open + 1..].find([',', ']']).expect("id ends");
+    let cut = if json.as_bytes()[end] == b',' {
+        end + 1
+    } else {
+        end
+    };
+    format!("{}{}", &json[..open + 1], &json[cut..])
+}
+
+/// A request whose graph carries an adjacency that disagrees with its
+/// edges is rejected as `Malformed` before it reaches the bank. Trusted,
+/// it would share the genuine network's bank key but build a different
+/// closure, and deposit that closure for every later client. The genuine
+/// request that follows is a cold miss, and it answers with the same bits
+/// as a direct registry call.
+#[test]
+fn a_forged_adjacency_is_malformed_and_never_banked() {
+    let base = base_instance();
+    let socket = socket_path("forged");
+    let server = Server::bind(
+        &socket,
+        ServerConfig {
+            workers: 1,
+            ..ServerConfig::default()
+        },
+    )
+    .expect("bind");
+
+    let genuine = encode_request(&RequestFrame {
+        id: 1,
+        body: Request::Solve(solve_req(&base)),
+    });
+    let forged = forge_adjacency(&genuine);
+    assert_ne!(forged, genuine);
+    let mut stream = UnixStream::connect(&socket).expect("connect");
+    write_frame(&mut stream, forged.as_bytes()).expect("send");
+    let reply = decode_response(&read_frame(&mut stream).expect("read").expect("a reply"))
+        .expect("reply decodes");
+    match reply.body {
+        Response::Error(ServeError::Malformed { detail }) => {
+            assert!(detail.contains("invalid graph"), "{detail}");
+        }
+        other => panic!("a forged adjacency must be Malformed, got {other:?}"),
+    }
+    let mut client = Client::connect(&socket).expect("connect");
+    assert_eq!(client.stats().expect("stats").bank_deposits, 0);
+
+    let reply = client.solve(solve_req(&base)).expect("genuine solve");
+    assert!(!reply.banked, "nothing was deposited for the forged frame");
+    let ctx = SolveContext::new(base.as_instance(), CostModel::default());
+    let direct = solver("elpc_delay_routed")
+        .expect("registry solver")
+        .solve(&ctx)
+        .expect("direct solve");
+    assert_eq!(reply.assignment, direct.assignment);
+    assert_eq!(reply.objective_ms.to_bits(), direct.objective_ms.to_bits());
+
+    let stats = server.shutdown();
+    assert_eq!(stats.bank_deposits, 1);
+    assert_eq!(stats.completed, 1);
 }
