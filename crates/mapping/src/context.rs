@@ -48,11 +48,18 @@
 //!
 //! ## Cross-instance reuse
 //!
-//! [`MetricClosure::export`] / [`MetricClosure::seed`] move materialized
-//! trees (cheap `Arc` clones) between closures over the *same* network and
-//! cost model — the mechanism behind `elpc_workloads::ClosureBank`, the
-//! topology-keyed cache that lets consecutive sweep cases sharing a network
-//! skip the all-pairs work entirely.
+//! A closure has two layers. Its **base** is an immutable, shared
+//! [`ClosureSnapshot`]: a dense per-payload, per-source table of trees,
+//! read without any lock. Its **overlay** is the sharded map above, which
+//! holds only the trees built after the closure was created. A query reads
+//! the base first, then the overlay, and builds into the overlay on a miss,
+//! so the two layers never hold the same key.
+//! [`MetricClosure::with_base`] attaches a snapshot by pointer, which is
+//! how `elpc_workloads::ClosureBank`, the topology-keyed cache, checks a
+//! banked closure out in O(1): nothing is copied. On the way back the bank
+//! folds the context's [`MetricClosure::overlay`] into the banked snapshot
+//! as a union. [`MetricClosure::export`] lists base ∪ overlay in key
+//! order, whichever layer each tree came from.
 //!
 //! The closure is keyed by the exact payload byte count (`f64` bit
 //! pattern): the §2.2 edge cost is `bytes·8/b + d`, so route choice
@@ -106,9 +113,8 @@ impl TreeKey {
     }
 }
 
-/// One materialized cache entry, as exported by [`MetricClosure::export`]
-/// and re-imported by [`MetricClosure::seed`] (the unit the cross-instance
-/// `ClosureBank` stores).
+/// One materialized cache entry, as listed by [`MetricClosure::export`]
+/// and [`ClosureSnapshot::trees`].
 #[derive(Debug, Clone)]
 pub struct CachedTree {
     /// The `(payload, source)` key.
@@ -117,14 +123,125 @@ pub struct CachedTree {
     pub tree: Arc<ShortestPaths>,
 }
 
+/// One payload's trees of a [`ClosureSnapshot`], indexed by source node.
+type SourceSlots = Box<[Option<Arc<ShortestPaths>>]>;
+
+/// An immutable set of trees over one network and cost model, indexed
+/// densely: one slot per source node for each payload. The unit the
+/// cross-instance `ClosureBank` stores, and the read-only, lock-free base
+/// of a checked-out [`MetricClosure`] (see the module docs).
+#[derive(Debug, Clone)]
+pub struct ClosureSnapshot {
+    nodes: usize,
+    /// Payload bit patterns in ascending order, each with its per-source
+    /// tree slots (`nodes` long).
+    rows: Vec<(u64, SourceSlots)>,
+    len: usize,
+}
+
+impl ClosureSnapshot {
+    /// The snapshot of `trees` over a network of `nodes` nodes. A tree
+    /// whose shape does not fit (distance vector not `nodes` long, or
+    /// source out of range) is dropped; of two trees with one key, the
+    /// first is kept.
+    pub fn new(nodes: usize, trees: impl IntoIterator<Item = CachedTree>) -> Self {
+        let mut snap = ClosureSnapshot {
+            nodes,
+            rows: Vec::new(),
+            len: 0,
+        };
+        for e in trees {
+            snap.insert(e);
+        }
+        snap
+    }
+
+    /// Node count of the network the trees span.
+    pub fn node_count(&self) -> usize {
+        self.nodes
+    }
+
+    /// Number of trees.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// True when the snapshot holds no tree.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The tree under `key`, if present.
+    pub fn get(&self, key: &TreeKey) -> Option<&Arc<ShortestPaths>> {
+        let row = self
+            .rows
+            .binary_search_by_key(&key.payload_bits, |r| r.0)
+            .ok()?;
+        self.rows[row].1.get(key.source as usize)?.as_ref()
+    }
+
+    /// Every tree in key order, as cheap `Arc` clones.
+    pub fn trees(&self) -> impl Iterator<Item = CachedTree> + '_ {
+        self.rows.iter().flat_map(|(bits, slots)| {
+            slots.iter().enumerate().filter_map(move |(source, tree)| {
+                tree.as_ref().map(|tree| CachedTree {
+                    key: TreeKey {
+                        payload_bits: *bits,
+                        source: source as u32,
+                    },
+                    tree: Arc::clone(tree),
+                })
+            })
+        })
+    }
+
+    /// `self` plus every tree of `more` it lacks (shape-checked as in
+    /// [`ClosureSnapshot::new`]), or `None` when `more` adds nothing.
+    /// Trees are deterministic per key, so the union is always a valid
+    /// closure of the same network.
+    pub fn union(&self, more: impl IntoIterator<Item = CachedTree>) -> Option<Self> {
+        let mut fresh = more.into_iter().filter(|e| self.accepts(e)).peekable();
+        fresh.peek()?;
+        let mut out = self.clone();
+        for e in fresh {
+            out.insert(e);
+        }
+        Some(out)
+    }
+
+    /// True when `e` fits this snapshot's network and its key is absent.
+    fn accepts(&self, e: &CachedTree) -> bool {
+        e.tree.dist.len() == self.nodes
+            && (e.key.source as usize) < self.nodes
+            && self.get(&e.key).is_none()
+    }
+
+    fn insert(&mut self, e: CachedTree) {
+        if !self.accepts(&e) {
+            return;
+        }
+        let row = match self.rows.binary_search_by_key(&e.key.payload_bits, |r| r.0) {
+            Ok(row) => row,
+            Err(at) => {
+                let slots = vec![None; self.nodes].into_boxed_slice();
+                self.rows.insert(at, (e.key.payload_bits, slots));
+                at
+            }
+        };
+        self.rows[row].1[e.key.source as usize] = Some(e.tree);
+        self.len += 1;
+    }
+}
+
 /// Cache statistics, for tests and perf reports.
 ///
 /// **Invariant:** every [`MetricClosure::routed_from`] query counts exactly
 /// one hit or one miss — `hits + misses` always equals the number of
 /// queries made so far, even under concurrent access (the counters are
-/// atomic and racing builders each record their own miss). Seeding via
-/// [`MetricClosure::seed`] and probing via [`MetricClosure::contains`] are
-/// *not* queries and leave the statistics untouched.
+/// atomic and racing builders each record their own miss). Attaching a
+/// base via [`MetricClosure::with_base`] and probing via
+/// [`MetricClosure::contains`] are *not* queries and leave the statistics
+/// untouched; a query answered from the base counts as a hit.
 ///
 /// ```
 /// use elpc_mapping::{CostModel, MetricClosure, NodeId};
@@ -189,32 +306,26 @@ pub(crate) const MIN_PARALLEL_RELAX_NODES_DELAY: usize = 64;
 pub(crate) const MIN_PARALLEL_RELAX_NODES_RATE: usize = 24;
 
 /// The chunked column-update scaffolding shared by the routed DPs'
-/// per-stage relax loops: applies `relax(v, &mut cells[v])` to every cell,
-/// inline when `threads <= 1`, otherwise on scoped worker threads that each
-/// own one contiguous chunk of cells. Because every cell is computed
-/// independently and `relax` receives the same index either way, the chunk
-/// layout cannot affect any cell's value — serial and chunked runs are
-/// bit-for-bit identical.
-pub(crate) fn relax_columns_chunked<T: Send, F>(threads: usize, cells: &mut [T], relax: F)
+/// per-stage relax loops: hands every contiguous chunk of cells to
+/// `relax(first_index, chunk)`, one call covering all cells when
+/// `threads <= 1`, otherwise one call per chunk on scoped worker threads.
+/// A relax that computes every cell independently of the others, from
+/// its index alone, cannot be affected by the chunk layout — serial and
+/// chunked runs are bit-for-bit identical.
+pub(crate) fn relax_chunked<T: Send, F>(threads: usize, cells: &mut [T], relax: F)
 where
-    F: Fn(usize, &mut T) + Sync,
+    F: Fn(usize, &mut [T]) + Sync,
 {
     let k = cells.len();
     if threads <= 1 || k < 2 {
-        for (v, cell) in cells.iter_mut().enumerate() {
-            relax(v, cell);
-        }
+        relax(0, cells);
         return;
     }
     let chunk = k.div_ceil(threads.min(k));
     crossbeam::scope(|scope| {
         let relax = &relax;
         for (ci, cells_c) in cells.chunks_mut(chunk).enumerate() {
-            scope.spawn(move |_| {
-                for (i, cell) in cells_c.iter_mut().enumerate() {
-                    relax(ci * chunk + i, cell);
-                }
-            });
+            scope.spawn(move |_| relax(ci * chunk, cells_c));
         }
     })
     .expect("relax workers must not panic");
@@ -236,6 +347,9 @@ pub(crate) fn effective_threads(threads: usize) -> usize {
 pub struct MetricClosure<'a> {
     net: &'a elpc_netsim::Network,
     cost: CostModel,
+    /// Read-only trees shared with other closures (a bank checkout).
+    base: Arc<ClosureSnapshot>,
+    /// The overlay: trees built by this closure, never a key of `base`.
     shards: [RwLock<ShardMap>; SHARD_COUNT],
     hits: AtomicU64,
     misses: AtomicU64,
@@ -248,9 +362,39 @@ pub struct MetricClosure<'a> {
 impl<'a> MetricClosure<'a> {
     /// An empty closure over `net` under `cost`.
     pub fn new(net: &'a elpc_netsim::Network, cost: CostModel) -> Self {
+        Self::over(
+            net,
+            cost,
+            Arc::new(ClosureSnapshot::new(net.node_count(), [])),
+        )
+    }
+
+    /// A closure over `net` under `cost` whose queries first read the
+    /// shared, immutable `base` (a pointer clone, nothing is copied); trees
+    /// built later go to the closure's own overlay. The caller keys `base`
+    /// on the same network and cost model (`ClosureBank` uses a structural
+    /// fingerprint); a snapshot over a different node count is refused
+    /// with [`MappingError::BadConfig`].
+    pub fn with_base(
+        net: &'a elpc_netsim::Network,
+        cost: CostModel,
+        base: Arc<ClosureSnapshot>,
+    ) -> Result<Self> {
+        if base.node_count() != net.node_count() {
+            return Err(MappingError::BadConfig(format!(
+                "closure snapshot spans {} nodes, the network {}",
+                base.node_count(),
+                net.node_count()
+            )));
+        }
+        Ok(Self::over(net, cost, base))
+    }
+
+    fn over(net: &'a elpc_netsim::Network, cost: CostModel, base: Arc<ClosureSnapshot>) -> Self {
         MetricClosure {
             net,
             cost,
+            base,
             shards: std::array::from_fn(|_| RwLock::new(HashMap::new())),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -292,6 +436,10 @@ impl<'a> MetricClosure<'a> {
         costs: Option<&[f64]>,
         scratch: &mut SsspScratch,
     ) -> Arc<ShortestPaths> {
+        if let Some(tree) = self.base.get(&key) {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            return Arc::clone(tree);
+        }
         let shard = &self.shards[shard_of(&key)];
         if let Some(tree) = shard.read().get(&key) {
             self.hits.fetch_add(1, Ordering::Relaxed);
@@ -313,8 +461,11 @@ impl<'a> MetricClosure<'a> {
     /// True when the `(src, bytes)` tree is already materialized. Does not
     /// count as a query.
     pub fn contains(&self, src: NodeId, bytes: f64) -> bool {
-        let key = TreeKey::new(src, bytes);
-        self.shards[shard_of(&key)].read().contains_key(&key)
+        self.has(&TreeKey::new(src, bytes))
+    }
+
+    fn has(&self, key: &TreeKey) -> bool {
+        self.base.get(key).is_some() || self.shards[shard_of(key)].read().contains_key(key)
     }
 
     /// The flat CSR snapshot of the network's adjacency, built on first
@@ -371,7 +522,7 @@ impl<'a> MetricClosure<'a> {
             let mut batch = Vec::new();
             for &src in sources {
                 let key = TreeKey::new(src, bytes);
-                if seen.insert(key) && !self.shards[shard_of(&key)].read().contains_key(&key) {
+                if seen.insert(key) && !self.has(&key) {
                     batch.push(key);
                 }
             }
@@ -419,10 +570,19 @@ impl<'a> MetricClosure<'a> {
         work.len()
     }
 
-    /// Every materialized entry, sorted by key (deterministic order), as
-    /// cheap `Arc` clones. The export half of the cross-instance reuse path.
+    /// Every materialized entry, base and overlay alike, sorted by key
+    /// (deterministic order), as cheap `Arc` clones.
     pub fn export(&self) -> Vec<CachedTree> {
-        let mut out: Vec<CachedTree> = Vec::with_capacity(self.cached_trees());
+        let mut out: Vec<CachedTree> = self.base.trees().collect();
+        out.extend(self.overlay());
+        out.sort_by_key(|e| e.key);
+        out
+    }
+
+    /// The trees this closure built itself (not read from its base),
+    /// sorted by key: what a bank checkout adds to the banked snapshot.
+    pub fn overlay(&self) -> Vec<CachedTree> {
+        let mut out = Vec::new();
         for shard in &self.shards {
             for (key, tree) in shard.read().iter() {
                 out.push(CachedTree {
@@ -435,16 +595,24 @@ impl<'a> MetricClosure<'a> {
         out
     }
 
-    /// Imports previously exported entries (same network, same cost model —
-    /// the caller keys on that; `ClosureBank` uses a structural
-    /// fingerprint). Entries whose tree does not match this network's node
-    /// count are rejected; existing entries are kept. Returns the number of
-    /// entries inserted. Seeding is not a query: stats are untouched.
-    pub fn seed(&self, entries: &[CachedTree]) -> usize {
+    /// The shared base snapshot this closure reads first (empty unless it
+    /// was created by [`MetricClosure::with_base`]).
+    pub fn base(&self) -> &Arc<ClosureSnapshot> {
+        &self.base
+    }
+
+    /// Adds `entries` absent from both layers to the overlay, dropping
+    /// trees that do not fit this network's node count. Not a query.
+    /// Returns the number inserted. The churn repair's import of the trees
+    /// a delta left valid.
+    pub(crate) fn insert_overlay(&self, entries: &[CachedTree]) -> usize {
         let k = self.net.node_count();
         let mut inserted = 0;
         for e in entries {
-            if e.tree.dist.len() != k || (e.key.source as usize) >= k {
+            if e.tree.dist.len() != k
+                || (e.key.source as usize) >= k
+                || self.base.get(&e.key).is_some()
+            {
                 continue;
             }
             let mut shard = self.shards[shard_of(&e.key)].write();
@@ -491,9 +659,9 @@ impl<'a> MetricClosure<'a> {
         }
     }
 
-    /// Number of materialized `(payload, source)` trees.
+    /// Number of materialized `(payload, source)` trees, base included.
     pub fn cached_trees(&self) -> usize {
-        self.shards.iter().map(|s| s.read().len()).sum()
+        self.base.len() + self.shards.iter().map(|s| s.read().len()).sum::<usize>()
     }
 }
 
@@ -547,9 +715,27 @@ impl<'a> SolveContext<'a> {
     /// A context whose routed solvers pre-build their transfer trees on
     /// `threads` worker threads (`0` = all CPUs, `1` = lazy serial).
     pub fn with_threads(inst: Instance<'a>, cost: CostModel, threads: usize) -> Self {
+        Self::over(inst, MetricClosure::new(inst.network, cost), threads)
+    }
+
+    /// A [`SolveContext::with_threads`] context whose closure reads the
+    /// shared snapshot `base` first ([`MetricClosure::with_base`]): the
+    /// O(1) checkout path of a closure bank. Errors when the snapshot spans
+    /// a different node count than the instance's network.
+    pub fn with_base(
+        inst: Instance<'a>,
+        cost: CostModel,
+        threads: usize,
+        base: Arc<ClosureSnapshot>,
+    ) -> Result<Self> {
+        let closure = MetricClosure::with_base(inst.network, cost, base)?;
+        Ok(Self::over(inst, closure, threads))
+    }
+
+    fn over(inst: Instance<'a>, closure: MetricClosure<'a>, threads: usize) -> Self {
         SolveContext {
             inst,
-            closure: Arc::new(MetricClosure::new(inst.network, cost)),
+            closure: Arc::new(closure),
             warm_threads: threads,
             kernel: Arc::new(std::sync::OnceLock::new()),
         }
@@ -806,7 +992,7 @@ mod tests {
     }
 
     #[test]
-    fn export_seed_round_trips_trees_by_identity() {
+    fn snapshot_base_is_shared_by_pointer_and_read_as_hits() {
         let net = net3();
         let cost = CostModel::default();
         let mc = MetricClosure::new(&net, cost);
@@ -819,20 +1005,61 @@ mod tests {
             assert_eq!(a.key, b.key);
             assert!(Arc::ptr_eq(&a.tree, &b.tree));
         }
-        let fresh = MetricClosure::new(&net, cost);
-        assert_eq!(fresh.seed(&entries), 4);
+        let snap = Arc::new(ClosureSnapshot::new(3, entries.clone()));
+        assert_eq!(snap.len(), 4);
+        let listed: Vec<TreeKey> = snap.trees().map(|e| e.key).collect();
+        let keys: Vec<TreeKey> = entries.iter().map(|e| e.key).collect();
+        assert_eq!(listed, keys, "a snapshot lists its trees in key order");
+
+        let fresh = MetricClosure::with_base(&net, cost, Arc::clone(&snap)).unwrap();
+        assert!(Arc::ptr_eq(fresh.base(), &snap), "attaching copies nothing");
         assert_eq!(fresh.cached_trees(), 4);
-        // seeding is not a query and keeps existing entries
+        assert!(fresh.overlay().is_empty());
+        // attaching is not a query
         assert_eq!(fresh.stats(), ClosureStats::default());
-        assert_eq!(fresh.seed(&entries), 0);
-        // a seeded query is a hit on the identical Arc
+        // a base query is a hit on the identical Arc, and builds nothing
         let tree = fresh.routed_from(NodeId(0), 1e4);
         assert!(Arc::ptr_eq(&tree, &mc.routed_from(NodeId(0), 1e4)));
-        assert_eq!(fresh.stats().hits, 1);
+        assert_eq!(fresh.stats(), ClosureStats { hits: 1, misses: 0 });
+        assert_eq!(fresh.par_warm(&[NodeId(0), NodeId(1)], &[1e4, 1e6], 2), 0);
+        // a tree the base lacks is built into the overlay only
+        fresh.routed_from(NodeId(2), 1e4);
+        let overlay = fresh.overlay();
+        assert_eq!(overlay.len(), 1);
+        assert_eq!(overlay[0].key, TreeKey::new(NodeId(2), 1e4));
+        assert_eq!(snap.len(), 4, "the shared base never changes");
+        // export is base ∪ overlay, in key order
+        let exported: Vec<TreeKey> = fresh.export().iter().map(|e| e.key).collect();
+        let mut expect = keys.clone();
+        expect.push(TreeKey::new(NodeId(2), 1e4));
+        expect.sort();
+        assert_eq!(exported, expect);
     }
 
     #[test]
-    fn seed_rejects_foreign_shaped_trees() {
+    fn snapshot_union_adds_only_missing_trees() {
+        let net = net3();
+        let cost = CostModel::default();
+        let a = MetricClosure::new(&net, cost);
+        a.par_warm(&[NodeId(0), NodeId(1)], &[1e4], 1);
+        let b = MetricClosure::new(&net, cost);
+        b.par_warm(&[NodeId(1), NodeId(2)], &[1e4, 1e6], 1);
+        let snap = ClosureSnapshot::new(3, a.export());
+        let merged = snap.union(b.export()).expect("b adds trees");
+        assert_eq!(merged.len(), 5);
+        // the first-held tree of a shared key is kept
+        let shared = TreeKey::new(NodeId(1), 1e4);
+        assert!(Arc::ptr_eq(
+            merged.get(&shared).unwrap(),
+            snap.get(&shared).unwrap()
+        ));
+        // nothing new: no snapshot is made
+        assert!(merged.union(a.export()).is_none());
+        assert!(merged.union(Vec::new()).is_none());
+    }
+
+    #[test]
+    fn snapshot_rejects_foreign_shaped_trees() {
         let net = net3();
         let cost = CostModel::default();
         let mut b = Network::builder();
@@ -842,8 +1069,17 @@ mod tests {
         let net2 = b.build().unwrap();
         let mc2 = MetricClosure::new(&net2, cost);
         mc2.routed_from(a, 1e4);
-        let mc = MetricClosure::new(&net, cost);
-        assert_eq!(mc.seed(&mc2.export()), 0, "2-node trees must be rejected");
+        // 2-node trees do not fit a 3-node snapshot ...
+        let snap = ClosureSnapshot::new(3, mc2.export());
+        assert!(snap.is_empty(), "2-node trees must be rejected");
+        assert!(snap.union(mc2.export()).is_none());
+        // ... and a 2-node snapshot does not attach to a 3-node network
+        let foreign = Arc::new(ClosureSnapshot::new(2, mc2.export()));
+        assert_eq!(foreign.len(), 1);
+        assert!(matches!(
+            MetricClosure::with_base(&net, cost, foreign),
+            Err(MappingError::BadConfig(_))
+        ));
     }
 
     #[test]

@@ -397,14 +397,14 @@ fn tree_is_stale(tree: &ShortestPaths, edge_count: usize, priced: &[PricedChange
 
 /// Repairs `entries` (an old closure's [`crate::MetricClosure::export`])
 /// into `target`, a closure over the *perturbed* network, per `delta`:
-/// trees the invalidation rule retains are seeded as shared `Arc`s, stale
+/// trees the invalidation rule retains join its overlay as shared `Arc`s, stale
 /// sources are rebuilt through the CSR kernel on `threads` workers.
 ///
 /// After this returns, `target` answers every key `entries` held,
 /// byte-identically to a from-scratch closure over the perturbed network
 /// (predecessor links in generic position; see the module docs for the
 /// exact-tie caveat). Rebuilds count as closure misses, exactly like a
-/// cold build of the same trees; seeding kept trees is stat-free.
+/// cold build of the same trees; importing kept trees is stat-free.
 pub fn repair_closure(
     target: &MetricClosure<'_>,
     entries: &[CachedTree],
@@ -421,7 +421,7 @@ pub fn repair_closure(
             .or_default()
             .push(key.source_node());
     }
-    let kept_count = target.seed(&kept);
+    let kept_count = target.insert_overlay(&kept);
     let rebuilt = stale_of
         .iter()
         .map(|(bits, sources)| target.par_warm(sources, &[f64::from_bits(*bits)], threads))

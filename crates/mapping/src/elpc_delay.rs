@@ -142,12 +142,15 @@ pub fn solve(inst: &Instance<'_>, cost: &CostModel) -> Result<DelaySolution> {
 /// context's shared [`crate::MetricClosure`], so repeated solves on one
 /// instance — and sibling solvers in a comparison — pay it only once.
 ///
-/// The `O(k²)` per-stage relax loop runs on
-/// [`SolveContext::warm_threads`] chunked column workers (`0` = all CPUs):
-/// each worker owns a contiguous block of destination cells and scans every
-/// source row in ascending order, so the result is bit-for-bit identical at
-/// any thread count. At `threads == 1` no worker threads are spawned and
-/// the trees are still fetched lazily per stage.
+/// The `O(k²)` per-stage relax loop is source-major: sources outer, each
+/// reading its tree's distance row contiguously, destination cells inner.
+/// It runs on [`SolveContext::warm_threads`] chunked column workers (`0` =
+/// all CPUs): each worker owns a contiguous block of destination cells and
+/// takes every source row in ascending order, so each cell sees the stay
+/// candidate first and then the sources in ascending order, exactly as a
+/// cell-by-cell scan would, and the result is bit-for-bit identical at any
+/// thread count. At `threads == 1` no worker threads are spawned and the
+/// trees are still fetched lazily per stage.
 pub fn solve_routed_ctx(ctx: &SolveContext<'_>) -> Result<AssignmentSolution> {
     let inst = ctx.instance();
     let net = inst.network;
@@ -185,30 +188,38 @@ pub fn solve_routed_ctx(ctx: &SolveContext<'_>) -> Result<AssignmentSolution> {
                     .then(|| ctx.routed_from(NodeId::from_index(u), in_bytes))
             })
             .collect();
-        // one destination cell: stay on the same host, then relax every
-        // incoming routed edge in ascending source order — the same float
-        // comparison sequence whichever chunk the cell lands in
+        let compute: Vec<f64> = (0..k)
+            .map(|v| work / net.power(NodeId::from_index(v)))
+            .collect();
+        // source-major: each chunk of destination cells starts from its
+        // stay candidates, then takes every source's contiguous distance
+        // row in ascending order — per cell the same float comparison
+        // sequence as a cell-by-cell scan, whichever chunk it lands in
         let prev_col = &prev;
-        crate::context::relax_columns_chunked(threads, &mut cur, |v, cell| {
-            let vid = NodeId::from_index(v);
-            let compute = work / net.power(vid);
-            let (mut best, mut par) = if prev_col[v].is_finite() {
-                (prev_col[v] + compute, Some(vid))
-            } else {
-                (f64::INFINITY, None)
-            };
+        crate::context::relax_chunked(threads, &mut cur, |lo, cells| {
+            for (i, cell) in cells.iter_mut().enumerate() {
+                let v = lo + i;
+                *cell = if prev_col[v].is_finite() {
+                    (prev_col[v] + compute[v], Some(NodeId::from_index(v)))
+                } else {
+                    (f64::INFINITY, None)
+                };
+            }
+            let hi = lo + cells.len();
             for (u, tree) in trees.iter().enumerate() {
                 let Some(tree) = tree else { continue };
-                if u == v || tree.dist[v].is_infinite() {
-                    continue;
-                }
-                let t = prev_col[u] + tree.dist[v] + compute;
-                if t < best {
-                    best = t;
-                    par = Some(NodeId::from_index(u));
+                let from = prev_col[u];
+                let rows = tree.dist[lo..hi].iter().zip(&compute[lo..hi]);
+                for (i, (cell, (&d, &c))) in cells.iter_mut().zip(rows).enumerate() {
+                    if lo + i == u || d.is_infinite() {
+                        continue;
+                    }
+                    let t = from + d + c;
+                    if t < cell.0 {
+                        *cell = (t, Some(NodeId::from_index(u)));
+                    }
                 }
             }
-            *cell = (best, par);
         });
         parents.push(cur.iter().map(|&(_, par)| par).collect());
         for (p, &(best, _)) in prev.iter_mut().zip(&cur) {
@@ -473,5 +484,169 @@ mod tests {
         let strict = solve(&inst, &cost()).unwrap();
         let routed = solve_routed(&inst, &cost()).unwrap();
         assert!((routed.objective_ms - strict.delay_ms).abs() < 1e-9);
+    }
+
+    /// The cell-by-cell relax the source-major loop replaced, kept as the
+    /// test oracle: per destination cell, the stay candidate first, then
+    /// every source in ascending order, one cell at a time.
+    fn column_major_oracle(ctx: &SolveContext<'_>) -> Result<AssignmentSolution> {
+        let inst = ctx.instance();
+        let (net, pipe) = (inst.network, inst.pipeline);
+        let (n, k) = (pipe.len(), net.node_count());
+        let mut prev = vec![f64::INFINITY; k];
+        prev[inst.src.index()] = 0.0;
+        let mut parents: Vec<Vec<Option<NodeId>>> = Vec::with_capacity(n - 1);
+        for j in 1..n {
+            let in_bytes = pipe.input_bytes(j);
+            let work = pipe.compute_work(j);
+            let trees: Vec<_> = (0..k)
+                .map(|u| {
+                    prev[u]
+                        .is_finite()
+                        .then(|| ctx.routed_from(NodeId::from_index(u), in_bytes))
+                })
+                .collect();
+            let mut cur = vec![f64::INFINITY; k];
+            let mut parent = vec![None; k];
+            for v in 0..k {
+                let vid = NodeId::from_index(v);
+                let compute = work / net.power(vid);
+                let (mut best, mut par) = if prev[v].is_finite() {
+                    (prev[v] + compute, Some(vid))
+                } else {
+                    (f64::INFINITY, None)
+                };
+                for (u, tree) in trees.iter().enumerate() {
+                    let Some(tree) = tree else { continue };
+                    if u == v || tree.dist[v].is_infinite() {
+                        continue;
+                    }
+                    let t = prev[u] + tree.dist[v] + compute;
+                    if t < best {
+                        best = t;
+                        par = Some(NodeId::from_index(u));
+                    }
+                }
+                cur[v] = best;
+                parent[v] = par;
+            }
+            parents.push(parent);
+            prev = cur;
+        }
+        let total = prev[inst.dst.index()];
+        if !total.is_finite() {
+            return Err(MappingError::Infeasible("unreachable".into()));
+        }
+        let mut assignment = vec![inst.dst; n];
+        let mut node = inst.dst;
+        for j in (1..n).rev() {
+            assignment[j] = node;
+            node = parents[j - 1][node.index()].expect("finite cells have parents");
+        }
+        assignment[0] = node;
+        Ok(AssignmentSolution {
+            assignment,
+            objective_ms: total,
+        })
+    }
+
+    /// A random connected network of `k` nodes. `ties` draws bandwidths
+    /// from one value, MLDs from small integers and powers from two
+    /// values, so equal-time moves (and equal stay/move cells) are common.
+    fn oracle_network(seed: u64, k: usize, ties: bool) -> Network {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+        let links = rng.gen_range(k - 1..=(3 * k).min(k * (k - 1) / 2));
+        let topo = elpc_netgraph::gen::random_connected(k, links, &mut rng).unwrap();
+        let powers: Vec<f64> = (0..k)
+            .map(|_| {
+                if ties {
+                    [100.0, 200.0][rng.gen_range(0..2usize)]
+                } else {
+                    rng.gen_range(10.0..1000.0)
+                }
+            })
+            .collect();
+        Network::from_topology(
+            &topo,
+            |i| elpc_netsim::Node::with_power(powers[i]),
+            |_, _| {
+                if ties {
+                    elpc_netsim::Link::new(100.0, rng.gen_range(0..3) as f64)
+                } else {
+                    elpc_netsim::Link::new(rng.gen_range(1.0..1000.0), rng.gen_range(0.1..5.0))
+                }
+            },
+        )
+        .unwrap()
+    }
+
+    /// Source-major relax ≡ the cell-by-cell oracle, bit for bit, for
+    /// every destination of random and tie-heavy instances, serial and
+    /// chunked (the larger networks cross the parallel-relax crossover).
+    #[test]
+    fn source_major_relax_matches_the_column_major_oracle() {
+        use rand::{Rng, SeedableRng};
+        for (seed, k, ties) in [
+            (1, 9, false),
+            (2, 9, true),
+            (3, 40, false),
+            (4, 40, true),
+            (5, 72, false),
+            (6, 72, true),
+            (7, 97, true),
+        ] {
+            let net = oracle_network(seed, k, ties);
+            let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed + 1000);
+            let pipe = if ties {
+                let stages: Vec<(f64, f64)> = (0..rng.gen_range(2..6))
+                    .map(|_| (rng.gen_range(1..4) as f64, 1e4 * rng.gen_range(1..3) as f64))
+                    .collect();
+                Pipeline::from_stages(1e4, &stages, 1.0).unwrap()
+            } else {
+                elpc_pipeline::gen::PipelineSpec {
+                    modules: rng.gen_range(3..8),
+                    ..Default::default()
+                }
+                .generate(&mut rng)
+                .unwrap()
+            };
+            let src = NodeId(0);
+            let shared = SolveContext::new(Instance::new(&net, &pipe, src, src).unwrap(), cost());
+            let mut compared = 0;
+            for dst in net.node_ids() {
+                let inst = Instance::new(&net, &pipe, src, dst).unwrap();
+                let oracle = column_major_oracle(
+                    &SolveContext::from_shared(inst, shared.closure_arc(), 1).unwrap(),
+                );
+                for threads in [1, 0, 3] {
+                    let ctx =
+                        SolveContext::from_shared(inst, shared.closure_arc(), threads).unwrap();
+                    let got = solve_routed_ctx(&ctx);
+                    match (&oracle, &got) {
+                        (Ok(a), Ok(b)) => {
+                            assert_eq!(
+                                a.objective_ms.to_bits(),
+                                b.objective_ms.to_bits(),
+                                "seed {seed} dst {dst} threads {threads}"
+                            );
+                            assert_eq!(
+                                a.assignment, b.assignment,
+                                "seed {seed} dst {dst} threads {threads}"
+                            );
+                            compared += 1;
+                        }
+                        (Err(_), Err(_)) => {}
+                        _ => {
+                            panic!("seed {seed} dst {dst} threads {threads}: {oracle:?} vs {got:?}")
+                        }
+                    }
+                }
+            }
+            assert!(
+                compared >= 3 * k / 2,
+                "seed {seed}: too few feasible destinations"
+            );
+        }
     }
 }

@@ -274,31 +274,34 @@ pub fn solve_routed_with_ctx(
         // one destination cell: extend every predecessor label in ascending
         // (source, label-index) order — each cell's label set is built from
         // the same insertion sequence whichever chunk it lands in
-        crate::context::relax_columns_chunked(threads, &mut cur, |v, cell| {
-            let vid = NodeId::from_index(v);
-            if vid == inst.dst && j != n - 1 {
-                return; // the destination may only host the final module
-            }
-            let compute = work / net.power(vid);
-            for (u, tree) in trees.iter().enumerate() {
-                let Some(tree) = tree else { continue };
-                if u == v || tree.dist[v].is_infinite() {
-                    continue;
+        crate::context::relax_chunked(threads, &mut cur, |lo, cells| {
+            for (i, cell) in cells.iter_mut().enumerate() {
+                let v = lo + i;
+                let vid = NodeId::from_index(v);
+                if vid == inst.dst && j != n - 1 {
+                    continue; // the destination may only host the final module
                 }
-                for (idx, label) in prev[u].iter().enumerate() {
-                    if label.mask_contains(v) {
+                let compute = work / net.power(vid);
+                for (u, tree) in trees.iter().enumerate() {
+                    let Some(tree) = tree else { continue };
+                    if u == v || tree.dist[v].is_infinite() {
                         continue;
                     }
-                    let bottleneck = label.bottleneck.max(compute).max(tree.dist[v]);
-                    insert_label(
-                        cell,
-                        Label {
-                            bottleneck,
-                            mask: label.mask_with(v),
-                            parent: Some((NodeId::from_index(u), idx as u32)),
-                        },
-                        config.k_labels,
-                    );
+                    for (idx, label) in prev[u].iter().enumerate() {
+                        if label.mask_contains(v) {
+                            continue;
+                        }
+                        let bottleneck = label.bottleneck.max(compute).max(tree.dist[v]);
+                        insert_label(
+                            cell,
+                            Label {
+                                bottleneck,
+                                mask: label.mask_with(v),
+                                parent: Some((NodeId::from_index(u), idx as u32)),
+                            },
+                            config.k_labels,
+                        );
+                    }
                 }
             }
         });

@@ -44,9 +44,11 @@
 //! [`crate::MetricClosure::par_warm`] (all sources × the pipeline's
 //! distinct payload sizes, on the context's warm-thread count) and then
 //! copies the per-source distance rows into flat matrices. Construction
-//! therefore parallelizes like every other tree build, trees seeded from a
-//! `ClosureBank` are reused instead of recomputed, and the trees the kernel
-//! does build stay in the closure for every later solver on the context.
+//! therefore parallelizes like every other tree build, trees checked out of
+//! a `ClosureBank` are reused instead of recomputed, and the trees the kernel
+//! does build stay in the closure for every later solver on the context
+//! (and, folded back into a `ClosureBank`, for every later request with the
+//! same key).
 //! [`crate::SolveContext::eval_kernel`] memoizes the kernel per context, so
 //! a compare row or portfolio slate builds it once for all six
 //! metaheuristic members and the rate polish.
@@ -83,7 +85,7 @@ impl EvalKernel {
     /// distinct boundary payload plus the `n × k` compute matrix. Missing
     /// trees are built through [`crate::MetricClosure::par_warm`] on the
     /// context's warm-thread count, so construction parallelizes and
-    /// bank-seeded trees are reused.
+    /// trees checked out of a bank are reused.
     pub fn build(ctx: &SolveContext<'_>) -> Self {
         let inst = ctx.instance();
         let pipe = inst.pipeline;

@@ -94,7 +94,9 @@ pub mod tabu;
 #[cfg(test)]
 mod test_fixtures;
 
-pub use context::{CachedTree, ClosureStats, MetricClosure, SolveContext, TreeKey};
+pub use context::{
+    CachedTree, ClosureSnapshot, ClosureStats, MetricClosure, SolveContext, TreeKey,
+};
 pub use cost::{CostModel, Stage};
 pub use delta::{
     LinkFailure, LinkPerturbation, NetworkDelta, NodeFailure, NodePerturbation, RepairReport,

@@ -18,8 +18,8 @@
 //!   completions) behind the `serving` bench and the CI smoke run.
 //!
 //! Solver execution stays decoupled from the request lifecycle: workers
-//! run the unchanged 18-entry `elpc_mapping` registry against bank-seeded
-//! [`elpc_mapping::SolveContext`]s, so a served solve is bit-identical to
+//! run the unchanged `elpc_mapping` registry against
+//! [`elpc_mapping::SolveContext`]s checked out of the bank, so a served solve is bit-identical to
 //! calling the registry directly (the loopback suite pins this).
 //!
 //! See ARCHITECTURE.md § "Serving lifecycle" for the request lifecycle,
@@ -29,6 +29,7 @@
 #![warn(missing_docs)]
 
 pub mod client;
+mod histogram;
 pub mod loadgen;
 pub mod protocol;
 pub mod server;

@@ -16,9 +16,13 @@
 //! are **coalesced**: the first such request is elected *leader* and
 //! builds the all-pairs closure once; the rest wait on its completion and
 //! then check the deposited closure out as a bank hit. Each request calls
-//! [`ClosureBank::context_for`] exactly once, so the bank's
-//! `hits + misses` always equals the number of executed solve requests —
-//! the soak suite pins this exactness.
+//! [`ClosureBank::checkout`] exactly once, so the bank's `hits + misses`
+//! always equals the number of executed solve requests, and the reply's
+//! `banked` flag is that checkout's own outcome — the soak suite pins
+//! this exactness. Every request, hits included, then deposits: a hit
+//! whose solver built trees its checkout lacked (an eval kernel's, say)
+//! folds them into the banked snapshot, and one that built nothing
+//! deposits nothing.
 //!
 //! The work queue is **bounded** ([`ServerConfig::queue_capacity`]):
 //! requests beyond the bound are shed with a typed
@@ -34,6 +38,7 @@
 //! responses are written, then workers stop on sentinel jobs and the
 //! socket file is removed.
 
+use crate::histogram::LatencyHistogram;
 use crate::protocol::{
     decode_request, encode_response, read_frame_poll, write_frame, LatencySummary, RemapReply,
     RemapRequest, Request, Response, ResponseFrame, ServeError, SolveFailure, SolveReply,
@@ -137,7 +142,8 @@ struct Counters {
     /// `retry_after_ms` hint is derived from without taking the
     /// latencies lock on the hot refusal path.
     latency_sum_us: AtomicU64,
-    latencies: parking_lot::Mutex<Vec<f64>>,
+    /// Completed-request latencies, in constant memory.
+    latencies: parking_lot::Mutex<LatencyHistogram>,
 }
 
 struct Shared {
@@ -177,8 +183,15 @@ impl Shared {
 
     fn stats_snapshot(&self) -> StatsReply {
         let bank = self.bank.stats();
-        let mut sorted = self.stats.latencies.lock().clone();
-        sorted.sort_by(f64::total_cmp);
+        let latency = {
+            let h = self.stats.latencies.lock();
+            LatencySummary {
+                count: h.count(),
+                p50_ms: h.percentile(0.50),
+                p99_ms: h.percentile(0.99),
+                max_ms: h.max_ms(),
+            }
+        };
         StatsReply {
             requests: self.stats.requests.load(Ordering::Relaxed),
             accepted: self.stats.accepted.load(Ordering::Relaxed),
@@ -194,12 +207,7 @@ impl Shared {
             bank_misses: bank.misses,
             bank_deposits: bank.deposits,
             bank_repairs: bank.repairs,
-            latency: LatencySummary {
-                count: sorted.len() as u64,
-                p50_ms: percentile(&sorted, 0.50),
-                p99_ms: percentile(&sorted, 0.99),
-                max_ms: sorted.last().copied().unwrap_or(0.0),
-            },
+            latency,
         }
     }
 }
@@ -211,15 +219,6 @@ impl Shared {
 fn retry_after_hint(depth: u64, mean_latency_ms: f64, workers: u64) -> u64 {
     let est = depth as f64 * mean_latency_ms / workers.max(1) as f64;
     (est.ceil() as u64).clamp(10, 10_000)
-}
-
-/// Nearest-rank percentile over an ascending slice (0 when empty).
-fn percentile(sorted: &[f64], q: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let idx = (q * (sorted.len() - 1) as f64).round() as usize;
-    sorted[idx.min(sorted.len() - 1)]
 }
 
 /// A running solve daemon bound to a Unix socket.
@@ -595,7 +594,7 @@ fn handle_item(shared: &Arc<Shared>, item: WorkItem) {
                 .stats
                 .latency_sum_us
                 .fetch_add((latency_ms * 1e3) as u64, Ordering::Relaxed);
-            shared.stats.latencies.lock().push(latency_ms);
+            shared.stats.latencies.lock().record(latency_ms);
         }
     }
     respond(&item.writer, item.id, body);
@@ -683,19 +682,19 @@ fn run_solve(
         drop(leader);
         return Err(timeout_error(item));
     }
-    let banked = shared.bank.contains_key(key);
-    // The one and only `context_for` call this request makes: the bank's
-    // hits + misses stays exactly equal to executed solve requests.
-    let ctx = shared.bank.context_for(inst, sreq.cost, sreq.threads);
+    // The one and only checkout this request makes: the bank's
+    // hits + misses stays exactly equal to executed solve requests, and
+    // `banked` is this checkout's outcome even if an eviction raced it.
+    let (ctx, banked) = shared.bank.checkout(key, inst, sreq.cost, sreq.threads);
     let result = entry.solve(&ctx);
-    if leader.is_some() {
-        // Deposit BEFORE the guard drops: a racer that sees the in-flight
-        // entry gone must also see the deposited closure, or it would
-        // elect itself leader and build the same closure a second time.
-        // A solver that never touched the metric closure deposits nothing,
-        // so the next request for the key is elected leader again.
-        shared.bank.deposit(&ctx);
-    }
+    // Every request deposits; only trees the checkout lacked are folded
+    // in, so a hit that built nothing leaves the bank untouched. A leader
+    // deposits BEFORE its guard drops: a racer that sees the in-flight
+    // entry gone must also see the deposited closure, or it would elect
+    // itself leader and build the same closure a second time. A solver
+    // that never touched the metric closure deposits nothing, so the next
+    // request for the key is elected leader again.
+    shared.bank.deposit(&ctx);
     drop(leader);
     let solution = result.map_err(|e| ServeError::Solve(SolveFailure::from_mapping(&e)))?;
     Ok(SolveReply {
@@ -777,16 +776,6 @@ fn coalesce<'a>(shared: &'a Shared, key: u64) -> (bool, Option<LeaderGuard<'a>>)
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn percentile_is_nearest_rank() {
-        assert_eq!(percentile(&[], 0.5), 0.0);
-        let v: Vec<f64> = (1..=100).map(f64::from).collect();
-        assert_eq!(percentile(&v, 0.0), 1.0);
-        assert_eq!(percentile(&v, 0.50), 51.0);
-        assert_eq!(percentile(&v, 0.99), 99.0);
-        assert_eq!(percentile(&v, 1.0), 100.0);
-    }
 
     #[test]
     fn retry_after_hint_scales_and_clamps() {

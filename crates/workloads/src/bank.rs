@@ -4,26 +4,37 @@
 //! one instance; consecutive suite cases, parameter sweeps that hold the
 //! network fixed, and repeated experiment runs still rebuilt identical
 //! closures from scratch because each case owns its own context. The bank
-//! closes that gap: materialized shortest-path trees are deposited under a
-//! key derived from the **network fingerprint × cost model × payload set**,
-//! and any later instance with the same key checks them back out as cheap
-//! `Arc` clones.
+//! closes that gap: materialized shortest-path trees are banked under a key
+//! derived from the **network fingerprint × cost model × payload set** as
+//! one immutable [`ClosureSnapshot`], and any later instance with the same
+//! key checks that snapshot out by pointer: the context's closure reads it
+//! lock-free as its base and builds only what it lacks into its own
+//! overlay ([`elpc_mapping::MetricClosure::with_base`]). A checkout copies
+//! nothing, whatever the closure's size.
+//!
+//! A deposit **folds**: the context's overlay (plus its base, when that is
+//! no longer the banked snapshot) is unioned with the snapshot banked
+//! under the key, and the union replaces it. Trees are deterministic per
+//! key, so the union is always a valid closure, a richer one never loses
+//! trees to a poorer one, and two concurrent folds keep each other's
+//! trees. A context that built nothing deposits nothing, in O(1).
 //!
 //! The key is deliberately strict — [`elpc_netsim::Network::fingerprint`]
 //! covers every node power and every link's bandwidth/MLD bit pattern, so a
 //! perturbed edge misses the bank instead of serving stale trees. Payload
 //! sets are part of the key so an entry always contains exactly the trees
-//! its pipeline's boundaries query (seeding is still shape-checked on
-//! import). Correctness never depends on the bank: a miss just means a cold
-//! closure, and checked-out trees are bit-identical to freshly built ones
-//! (the bank-identity test pins this).
+//! its pipeline's boundaries query (a snapshot is still shape-checked
+//! against the network's node count on checkout). Correctness never
+//! depends on the bank: a miss just means a cold closure, and checked-out
+//! trees are bit-identical to freshly built ones (the bank-identity test
+//! pins this).
 //!
 //! The bank is `Send + Sync` (one mutex around the store, atomic
 //! statistics) so a parallel sweep can share a single bank across workers.
 
 use elpc_mapping::delta::repair_closure;
 use elpc_mapping::{
-    CachedTree, CostModel, Instance, MetricClosure, NetworkDelta, RepairReport, SolveContext,
+    ClosureSnapshot, CostModel, Instance, MetricClosure, NetworkDelta, RepairReport, SolveContext,
 };
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -37,7 +48,7 @@ pub struct BankStats {
     pub hits: u64,
     /// Checkouts that found nothing (cold context handed out).
     pub misses: u64,
-    /// Deposits that stored or enriched an entry.
+    /// Deposits that stored an entry or folded new trees into one.
     pub deposits: u64,
     /// In-place repairs ([`ClosureBank::update_in_place`]) that migrated an
     /// entry to a perturbed topology's key. Not checkouts: `hits + misses`
@@ -81,9 +92,9 @@ pub fn bank_key(inst: &Instance<'_>, cost: &CostModel) -> u64 {
 /// Closure store plus FIFO eviction order, behind one mutex.
 #[derive(Default)]
 struct BankStore {
-    entries: HashMap<u64, Arc<Vec<CachedTree>>>,
+    entries: HashMap<u64, Arc<ClosureSnapshot>>,
     /// Keys in first-deposit order; front is evicted first once the
-    /// capacity is reached. Re-deposits of an existing key keep its slot.
+    /// capacity is reached. Folds into an existing key keep its slot.
     order: std::collections::VecDeque<u64>,
 }
 
@@ -101,8 +112,9 @@ impl BankStore {
 }
 
 /// A topology-keyed cross-instance cache of materialized metric-closure
-/// entries. Checkout seeds a fresh context from the bank; deposit saves a
-/// solved context's trees back for the next instance with the same key.
+/// snapshots. Checkout hands a fresh context the banked snapshot by
+/// pointer; deposit folds the trees a solved context built back in for
+/// the next instance with the same key.
 ///
 /// Capacity-bounded: once `capacity` distinct keys are on deposit, the
 /// oldest-deposited key is evicted to make room (first-in, first-out —
@@ -180,10 +192,11 @@ impl ClosureBank {
         self.capacity
     }
 
-    /// A context for `inst`, seeded from the bank when a closure for the
+    /// A context for `inst` over the banked snapshot when a closure for the
     /// instance's topology/cost/payload key is on deposit (a hit), cold
     /// otherwise (a miss). `threads` configures the context's parallel
-    /// warm-up exactly as [`SolveContext::with_threads`] does.
+    /// warm-up exactly as [`SolveContext::with_threads`] does. The same
+    /// checkout as [`ClosureBank::checkout`], without its outcome.
     ///
     /// # Examples
     ///
@@ -215,47 +228,67 @@ impl ClosureBank {
         cost: CostModel,
         threads: usize,
     ) -> SolveContext<'a> {
-        let ctx = SolveContext::with_threads(inst, cost, threads);
-        let banked = self
-            .store
-            .lock()
-            .entries
-            .get(&bank_key(&inst, &cost))
-            .cloned();
-        match banked {
-            Some(entries) => {
+        self.checkout(bank_key(&inst, &cost), inst, cost, threads).0
+    }
+
+    /// Checks out a context for `inst` under its bank `key` (which must be
+    /// [`bank_key`] of `inst` × `cost`; a caller that already holds it
+    /// skips hashing the network again) and reports whether it was a hit.
+    /// On a hit the context's closure reads the banked snapshot as its
+    /// base, shared by pointer (O(1), nothing copied); a banked snapshot
+    /// whose node count does not fit the network is a miss. Counts exactly
+    /// one hit or one miss, and the returned flag is that outcome.
+    pub fn checkout<'a>(
+        &self,
+        key: u64,
+        inst: Instance<'a>,
+        cost: CostModel,
+        threads: usize,
+    ) -> (SolveContext<'a>, bool) {
+        debug_assert_eq!(key, bank_key(&inst, &cost), "checkout under a foreign key");
+        let banked = self.store.lock().entries.get(&key).cloned();
+        match banked.and_then(|base| SolveContext::with_base(inst, cost, threads, base).ok()) {
+            Some(ctx) => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                ctx.closure().seed(&entries);
+                (ctx, true)
             }
             None => {
                 self.misses.fetch_add(1, Ordering::Relaxed);
+                (SolveContext::with_threads(inst, cost, threads), false)
             }
         }
-        ctx
     }
 
-    /// Deposits `ctx`'s materialized trees under its instance key. Keeps
-    /// whichever entry holds more trees, so a richer closure (more solvers
-    /// ran against it) is never replaced by a poorer one; a first deposit
-    /// beyond the capacity evicts the oldest-deposited key.
+    /// Folds the trees `ctx` built into the snapshot banked under its
+    /// instance key, as a union; when the context's base is no longer the
+    /// banked snapshot (another fold or an eviction landed meanwhile), its
+    /// base trees join the union too. A context that built nothing
+    /// deposits nothing (O(1)), and so does a fold that adds no tree. A
+    /// first deposit beyond the capacity evicts the oldest-deposited key.
     pub fn deposit(&self, ctx: &SolveContext<'_>) {
-        let exported = ctx.closure().export();
-        if exported.is_empty() {
+        let closure = ctx.closure();
+        let built = closure.overlay();
+        if built.is_empty() {
             return;
         }
         let key = bank_key(ctx.instance(), ctx.cost());
+        let base = closure.base();
         let mut store = self.store.lock();
-        match store.entries.get(&key) {
-            Some(old) if old.len() >= exported.len() => return,
-            Some(_) => {
-                // enrich in place; the key keeps its eviction slot
-                store.entries.insert(key, Arc::new(exported));
+        let merged = match store.entries.get(&key) {
+            Some(banked) => {
+                let stale_base = (!Arc::ptr_eq(banked, base)).then(|| base.trees());
+                match banked.union(stale_base.into_iter().flatten().chain(built)) {
+                    Some(merged) => merged,
+                    None => return,
+                }
             }
             None => {
                 store.admit(key, self.capacity);
-                store.entries.insert(key, Arc::new(exported));
+                ClosureSnapshot::new(base.node_count(), base.trees().chain(built))
             }
-        }
+        };
+        store.entries.insert(key, Arc::new(merged));
+        drop(store);
         self.deposits.fetch_add(1, Ordering::Relaxed);
     }
 
@@ -296,38 +329,36 @@ impl ClosureBank {
         delta: &NetworkDelta,
         threads: usize,
     ) -> Option<RepairReport> {
-        let entries = self.store.lock().entries.get(&old_key).cloned()?;
+        let banked = self.store.lock().entries.get(&old_key).cloned()?;
         let new_key = bank_key(&inst, &cost);
         if new_key == old_key {
             // value-identical topology (empty delta): nothing to migrate
             self.repairs.fetch_add(1, Ordering::Relaxed);
             return Some(RepairReport {
-                total: entries.len(),
-                kept: entries.len(),
+                total: banked.len(),
+                kept: banked.len(),
                 rebuilt: 0,
             });
         }
         // repair outside the lock — stale-tree rebuilds can be expensive
+        let entries: Vec<_> = banked.trees().collect();
         let closure = MetricClosure::new(inst.network, cost);
         let report = repair_closure(&closure, &entries, delta, threads);
-        let repaired = Arc::new(closure.export());
+        let repaired = ClosureSnapshot::new(inst.network.node_count(), closure.export());
 
         let mut store = self.store.lock();
         store.entries.remove(&old_key);
         let slot = store.order.iter().position(|&k| k == old_key);
         match store.entries.get(&new_key) {
-            // the new key is somehow already banked: richer-wins, and the
-            // old key's slot simply retires
-            Some(existing) if existing.len() >= repaired.len() => {
+            // the new key is somehow already banked: fold the repaired
+            // trees into it, and the old key's slot simply retires
+            Some(existing) => {
+                if let Some(merged) = existing.union(repaired.trees()) {
+                    store.entries.insert(new_key, Arc::new(merged));
+                }
                 if let Some(i) = slot {
                     store.order.remove(i);
                 }
-            }
-            Some(_) => {
-                if let Some(i) = slot {
-                    store.order.remove(i);
-                }
-                store.entries.insert(new_key, repaired);
             }
             None => {
                 match slot {
@@ -336,7 +367,7 @@ impl ClosureBank {
                     // repaired closure is still valid, bank it as new
                     None => store.admit(new_key, self.capacity),
                 }
-                store.entries.insert(new_key, repaired);
+                store.entries.insert(new_key, Arc::new(repaired));
             }
         }
         drop(store);
@@ -382,6 +413,11 @@ mod tests {
 
     fn cost() -> CostModel {
         CostModel::default()
+    }
+
+    /// The snapshot banked under `key`, read without a checkout.
+    fn banked(bank: &ClosureBank, key: u64) -> Option<Arc<ClosureSnapshot>> {
+        bank.store.lock().entries.get(&key).cloned()
     }
 
     #[test]
@@ -608,7 +644,7 @@ mod tests {
     }
 
     #[test]
-    fn richer_deposits_replace_poorer_ones_only() {
+    fn deposits_fold_as_a_union() {
         let spec = InstanceSpec::sized(5, 8, 16);
         let owned = spec.generate(1).unwrap();
         let bank = ClosureBank::new();
@@ -617,17 +653,172 @@ mod tests {
         bank.deposit(&rich);
         let rich_count = rich.closure().cached_trees();
 
-        // a sparser context (one tree) must not clobber the banked closure
+        // a sparser cold context whose one tree is already banked adds
+        // nothing: no deposit, the banked snapshot stays as it was
         let poor = SolveContext::new(owned.as_instance(), cost());
-        poor.routed_from(owned.src, 1e4);
+        poor.routed_from(owned.src, owned.pipeline.input_bytes(1));
+        let key = bank_key(&owned.as_instance(), &cost());
+        let before = banked(&bank, key).unwrap();
         bank.deposit(&poor);
+        assert_eq!(bank.stats().deposits, 1);
+        assert!(Arc::ptr_eq(&banked(&bank, key).unwrap(), &before));
+
+        // a tree the bank lacks is folded in, and no banked tree is lost
+        poor.routed_from(owned.src, 12_345.0);
+        bank.deposit(&poor);
+        assert_eq!(bank.stats().deposits, 2);
         let again = bank.context_for(owned.as_instance(), cost(), 1);
-        assert_eq!(again.closure().cached_trees(), rich_count);
+        assert_eq!(again.closure().cached_trees(), rich_count + 1);
+        assert!(again.closure().contains(owned.src, 12_345.0));
 
         bank.clear();
         assert!(bank.is_empty());
         // empty contexts deposit nothing
         bank.deposit(&SolveContext::new(owned.as_instance(), cost()));
         assert!(bank.is_empty());
+    }
+
+    /// A hit hands out the banked snapshot itself: every checkout's base is
+    /// the very `Arc` the bank holds, and the returned outcome is the
+    /// statistic the checkout counted.
+    #[test]
+    fn snapshot_checkout_shares_the_banked_snapshot_by_pointer() {
+        let spec = InstanceSpec::sized(5, 12, 26);
+        let a = spec.generate(4).unwrap();
+        let b = spec.generate(5).unwrap();
+        let bank = ClosureBank::new();
+        let key = bank_key(&a.as_instance(), &cost());
+        let (ctx, hit) = bank.checkout(key, a.as_instance(), cost(), 1);
+        assert!(!hit);
+        solver("elpc_delay_routed").unwrap().solve(&ctx).unwrap();
+        bank.deposit(&ctx);
+
+        let snap = banked(&bank, key).unwrap();
+        assert_eq!(snap.len(), ctx.closure().cached_trees());
+        for _ in 0..2 {
+            let (warm, hit) = bank.checkout(key, a.as_instance(), cost(), 1);
+            assert!(hit);
+            assert!(Arc::ptr_eq(warm.closure().base(), &snap));
+            assert!(warm.closure().overlay().is_empty());
+        }
+        let b_key = bank_key(&b.as_instance(), &cost());
+        let (cold, hit) = bank.checkout(b_key, b.as_instance(), cost(), 1);
+        assert!(!hit);
+        assert!(cold.closure().base().is_empty());
+        let stats = bank.stats();
+        assert_eq!((stats.hits, stats.misses), (2, 2));
+    }
+
+    /// The serving pattern: an `elpc_delay_routed` request banks its
+    /// trees, the first `lns_delay` hit builds the rest of its kernel's
+    /// trees and folds them back, and the second `lns_delay` hit builds
+    /// none. Every request checks out once, and the folded answers equal
+    /// cold ones bit for bit.
+    #[test]
+    fn snapshot_fold_lets_the_second_kernel_hit_build_nothing() {
+        let owned = InstanceSpec::sized(6, 20, 44).generate(8).unwrap();
+        let bank = ClosureBank::new();
+        let key = bank_key(&owned.as_instance(), &cost());
+        let mut executed = 0u64;
+        let mut run = |name: &str| {
+            let (ctx, _) = bank.checkout(key, owned.as_instance(), cost(), 1);
+            let sol = solver(name).unwrap().solve(&ctx).unwrap();
+            bank.deposit(&ctx);
+            executed += 1;
+            (sol, ctx.closure().stats().misses, bank.stats())
+        };
+        let (_, misses, stats) = run("elpc_delay_routed");
+        assert!(misses > 0);
+        assert_eq!(stats.deposits, 1);
+        let (first, misses, stats) = run("lns_delay");
+        assert!(misses > 0, "the first kernel hit builds trees");
+        assert_eq!(stats.deposits, 2, "... and folds them");
+        let (second, misses, stats) = run("lns_delay");
+        assert_eq!(misses, 0, "the second kernel hit builds nothing");
+        assert_eq!(stats.deposits, 2, "... and deposits nothing");
+        assert_eq!(stats.hits + stats.misses, executed);
+        assert_eq!((stats.hits, stats.misses), (2, 1));
+
+        let cold = solver("lns_delay")
+            .unwrap()
+            .solve(&SolveContext::new(owned.as_instance(), cost()))
+            .unwrap();
+        for sol in [&first, &second] {
+            assert_eq!(sol.assignment, cold.assignment);
+            assert_eq!(sol.objective_ms.to_bits(), cold.objective_ms.to_bits());
+        }
+    }
+
+    /// Two contexts checked out of one snapshot build different trees and
+    /// deposit at the same time: the banked snapshot ends as the union.
+    #[test]
+    fn snapshot_racing_folds_keep_both_trees() {
+        let owned = InstanceSpec::sized(5, 12, 26).generate(9).unwrap();
+        let bank = ClosureBank::new();
+        let ctx = bank.context_for(owned.as_instance(), cost(), 1);
+        solver("elpc_delay_routed").unwrap().solve(&ctx).unwrap();
+        bank.deposit(&ctx);
+        let before = ctx.closure().cached_trees();
+
+        let payloads = [11_111.0, 22_222.0];
+        let racers: Vec<_> = payloads
+            .iter()
+            .map(|&bytes| {
+                let racer = bank.context_for(owned.as_instance(), cost(), 1);
+                racer.routed_from(owned.src, bytes);
+                racer
+            })
+            .collect();
+        let gate = std::sync::Barrier::new(racers.len());
+        std::thread::scope(|s| {
+            for racer in &racers {
+                let (bank, gate) = (&bank, &gate);
+                s.spawn(move || {
+                    gate.wait();
+                    bank.deposit(racer);
+                });
+            }
+        });
+        assert_eq!(bank.stats().deposits, 3);
+        let snap = banked(&bank, bank_key(&owned.as_instance(), &cost())).unwrap();
+        assert_eq!(snap.len(), before + payloads.len());
+        for bytes in payloads {
+            assert!(snap
+                .get(&elpc_mapping::TreeKey::new(owned.src, bytes))
+                .is_some());
+        }
+    }
+
+    /// A context checked out of the bank and grown past its base exports
+    /// exactly what a cold closure holding the same trees exports.
+    #[test]
+    fn snapshot_export_of_a_grown_checkout_equals_a_cold_export() {
+        let owned = InstanceSpec::sized(6, 16, 36).generate(12).unwrap();
+        let bank = ClosureBank::new();
+        let ctx = bank.context_for(owned.as_instance(), cost(), 1);
+        solver("elpc_delay_routed").unwrap().solve(&ctx).unwrap();
+        bank.deposit(&ctx);
+
+        let grown = bank.context_for(owned.as_instance(), cost(), 1);
+        solver("lns_delay").unwrap().solve(&grown).unwrap();
+        grown.routed_from(owned.dst, 4_321.0);
+        assert!(!grown.closure().base().is_empty());
+        assert!(!grown.closure().overlay().is_empty());
+        let warm = grown.closure().export();
+
+        let cold = MetricClosure::new(&owned.network, cost());
+        for e in &warm {
+            cold.routed_from(e.key.source_node(), e.key.payload());
+        }
+        let cold = cold.export();
+        assert_eq!(warm.len(), cold.len());
+        for (w, c) in warm.iter().zip(&cold) {
+            assert_eq!(w.key, c.key);
+            let bits = |t: &elpc_netgraph::algo::ShortestPaths| {
+                t.dist.iter().map(|d| d.to_bits()).collect::<Vec<_>>()
+            };
+            assert_eq!(bits(&w.tree), bits(&c.tree), "{:?}", w.key);
+            assert_eq!(w.tree.prev, c.tree.prev, "{:?}", w.key);
+        }
     }
 }

@@ -539,3 +539,51 @@ fn a_forged_adjacency_is_malformed_and_never_banked() {
     assert_eq!(stats.bank_deposits, 1);
     assert_eq!(stats.completed, 1);
 }
+
+/// A bank hit whose solver builds trees its checkout lacked folds them
+/// back: after an `elpc_delay_routed` leader banks the key, the first
+/// `lns_delay` hit builds its eval kernel's missing trees and deposits
+/// them, and the second `lns_delay` hit finds everything banked and
+/// deposits nothing. Each reply's `banked` flag is its own checkout's
+/// outcome, and the answers equal direct registry calls bit for bit.
+#[test]
+fn kernel_hits_fold_their_trees_into_the_bank_once() {
+    let base = base_instance();
+    let socket = socket_path("fold");
+    let server = Server::bind(
+        &socket,
+        ServerConfig {
+            workers: 1,
+            ..ServerConfig::default()
+        },
+    )
+    .expect("bind");
+
+    let mut client = Client::connect(&socket).expect("connect");
+    let mut deposits = Vec::new();
+    let mut banked = Vec::new();
+    for name in ["elpc_delay_routed", "lns_delay", "lns_delay"] {
+        let mut req = solve_req(&base);
+        req.solver = name.into();
+        let reply = client.solve(req).expect("solve");
+        let ctx = SolveContext::new(base.as_instance(), CostModel::default());
+        let direct = solver(name)
+            .expect("registry solver")
+            .solve(&ctx)
+            .expect("direct solve");
+        assert_eq!(reply.assignment, direct.assignment, "{name}");
+        assert_eq!(
+            reply.objective_ms.to_bits(),
+            direct.objective_ms.to_bits(),
+            "{name}"
+        );
+        banked.push(reply.banked);
+        deposits.push(client.stats().expect("stats").bank_deposits);
+    }
+    assert_eq!(banked, [false, true, true]);
+    assert_eq!(deposits, [1, 2, 2], "the leader, then one fold, then none");
+
+    let stats = server.shutdown();
+    assert_eq!((stats.bank_hits, stats.bank_misses), (2, 1));
+    assert_eq!(stats.bank_hits + stats.bank_misses, stats.completed);
+}
